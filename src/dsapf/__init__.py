@@ -11,9 +11,9 @@ from .engine import (ReplicateResult, RunSummary, SlotRecord, jain_index,
                      replicate, run)
 from .objectives import ObjectiveKind, evaluate
 from .oracle import InstanceTooLargeError, TinyInstance, solve_exhaustive
-from .pfilter import (DecideResult, NeighborView, Particle, ParticleSet,
-                      decide, effective_sample_size, init_particles,
-                      predict, systematic_resample, update_weights)
+from .pfilter import (DecideResult, NeighborView, ParticleSet, decide,
+                      effective_sample_size, init_particles, predict,
+                      systematic_resample, update_weights)
 from .powerfill import WaterFillProblem, water_fill
 from .system import (ConfigError, RngStream, SystemConfig, ValidatedConfig,
                      dbm_to_watt, derive_substream, validate, watt_to_dbm)
@@ -22,9 +22,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArCoefficients", "ChannelTensor", "ConfigError", "DecideResult",
-    "InstanceTooLargeError", "NeighborView", "ObjectiveKind", "Particle",
-    "ParticleSet", "ReplicateResult", "RngStream", "RunSummary", "SlotRecord",
-    "SystemConfig", "TinyInstance", "ValidatedConfig", "WaterFillProblem",
+    "InstanceTooLargeError", "NeighborView", "ObjectiveKind", "ParticleSet",
+    "ReplicateResult", "RngStream", "RunSummary", "SlotRecord", "SystemConfig",
+    "TinyInstance", "ValidatedConfig", "WaterFillProblem",
     "ar_coefficients", "dbm_to_watt", "decide", "derive_substream",
     "effective_sample_size", "evaluate", "init_particles", "jain_index",
     "predict", "replicate", "run", "solve_exhaustive", "systematic_resample",

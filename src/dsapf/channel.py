@@ -33,48 +33,34 @@ BURN_IN_STEPS = 50
 class ArCoefficients:
     """Fading recursion coefficients for a unit-power link.
 
-    ``alpha`` holds the AR taps; ``xi`` is the innovation scale that keeps a
+    ``a1`` is the AR(1) tap; ``xi`` is the innovation scale that keeps a
     unit-variance process stationary (per link it is multiplied by the square
     root of that link's mean gain).
     """
 
-    alpha: np.ndarray
+    a1: float
     xi: float
 
 
-def ar_coefficients(doppler_coherence_product: float, order: int = 1) -> ArCoefficients:
-    """Clarke-model AR taps: alpha_l = J0(2*pi*l*fd*Tb).
-
-    Only the first-order recursion is supported; higher orders would need a
-    Yule-Walker solve and are rejected.
-    """
-    if order < 1:
-        raise ValueError("ar order must be >= 1")
-    if order > 1:
-        raise ValueError("ar order > 1 is not supported")
+def ar_coefficients(doppler_coherence_product: float) -> ArCoefficients:
+    """Clarke-model AR(1) tap a1 = J0(2*pi*fd*Tb) and its innovation scale."""
     if doppler_coherence_product < 0.0:
         raise ValueError("doppler_coherence_product must be >= 0")
     a1 = float(j0(2.0 * np.pi * doppler_coherence_product))
     xi = float(np.sqrt(max(0.0, 1.0 - a1 * a1)))
-    return ArCoefficients(alpha=np.array([a1]), xi=xi)
+    return ArCoefficients(a1=a1, xi=xi)
 
 
 @dataclass
 class ChannelTensor:
-    """Realized link gains plus the history the AR recursion needs.
+    """Realized link gains of the most recent slot.
 
-    ``history[l]`` is the complex gain tensor (n_users, n_users, n_bands)
-    realized l+1 steps ago relative to the next step; ``history[0]`` is the
-    most recent slot.  ``mean_gain[i, k]`` is the long-run power of the link
-    from transmitter k to receiver i.
+    ``current[i, k, j]`` is the complex gain from transmitter k to receiver i
+    on band j; ``mean_gain[i, k]`` is the long-run power of that link.
     """
 
-    history: np.ndarray
+    current: np.ndarray
     mean_gain: np.ndarray
-
-    @property
-    def current(self) -> np.ndarray:
-        return self.history[0]
 
 
 def mean_gain_matrix(config: ValidatedConfig, rng: RngStream) -> np.ndarray:
@@ -106,15 +92,13 @@ def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
 
 def init_channels(config: ValidatedConfig, rng: RngStream) -> ChannelTensor:
     """Stationary draw of every link gain, then a burn-in of AR steps."""
-    coeffs = ar_coefficients(config.doppler_coherence_product, config.ar_order)
+    coeffs = ar_coefficients(config.doppler_coherence_product)
     mean_gain = mean_gain_matrix(config, rng)
     shape = (config.n_users, config.n_users, config.n_bands)
     scale = np.sqrt(mean_gain)[:, :, None]
     gen = derive_substream(rng, Domain.CHANNEL_INIT).generator()
-    history = np.empty((config.ar_order,) + shape, dtype=complex)
-    for lag in range(config.ar_order):
-        history[lag] = scale * _complex_normal(gen, shape)
-    tensor = ChannelTensor(history=history, mean_gain=mean_gain)
+    tensor = ChannelTensor(current=scale * _complex_normal(gen, shape),
+                           mean_gain=mean_gain)
     for k in range(BURN_IN_STEPS):
         step_channels(tensor, coeffs, derive_substream(rng, (Domain.CHANNEL_BURNIN, k)))
     return tensor
@@ -124,14 +108,14 @@ def step_channels(tensor: ChannelTensor, coeffs: ArCoefficients,
                   rng: RngStream) -> ChannelTensor:
     """Advance every link one slot (in place); engine-exclusive."""
     gen = rng.generator()
-    new = np.einsum("l,l...->...", coeffs.alpha, tensor.history)
+    new = coeffs.a1 * tensor.current
     if coeffs.xi != 0.0:
-        shape = tensor.history.shape[1:]
-        new = new + coeffs.xi * np.sqrt(tensor.mean_gain)[:, :, None] * _complex_normal(gen, shape)
-    tensor.history = np.concatenate([new[None], tensor.history[:-1]])
+        new += (coeffs.xi * np.sqrt(tensor.mean_gain)[:, :, None]
+                * _complex_normal(gen, new.shape))
+    tensor.current = new
     return tensor
 
 
 def predict_channels(tensor: ChannelTensor, coeffs: ArCoefficients) -> np.ndarray:
     """One-step-ahead conditional mean of the gain tensor (no mutation)."""
-    return np.einsum("l,l...->...", coeffs.alpha, tensor.history)
+    return coeffs.a1 * tensor.current

@@ -165,15 +165,11 @@ def cmd_oracle_check(args) -> int:
     snapshots = []
     run_engine(vcfg, slot_hook=snapshots.append)
 
-    from .phy import draw_rate_thresholds
-    from .system import RngStream
-    thresholds = draw_rate_thresholds(vcfg, RngStream(vcfg.seed))
-
     ratio = float("nan")
     for snap in snapshots:
         inst = TinyInstance(
             gains_sq=snap.gains_sq, availability=snap.availability,
-            thresholds=thresholds, bandwidth_hz=config.bandwidth_hz,
+            thresholds=snap.thresholds, bandwidth_hz=config.bandwidth_hz,
             noise_band_w=vcfg.noise_band_w, p_total_w=vcfg.p_total_max_w,
             p_band_cap_w=vcfg.p_band_max_w,
             max_bands_per_user=config.max_bands_per_user, beta=config.beta,

@@ -58,8 +58,8 @@ class RunSummary:
 @dataclass(frozen=True)
 class SlotSnapshot:
     """Engine internals exposed to an optional per-slot hook (used by the
-    oracle comparison): realized squared gains, availability, and the
-    simultaneous choices with their outcome."""
+    oracle comparison): realized squared gains, availability, the users'
+    demand thresholds, and the simultaneous choices with their outcome."""
 
     slot: int
     gains_sq: np.ndarray
@@ -68,6 +68,7 @@ class SlotSnapshot:
     power_w: np.ndarray
     rates: np.ndarray
     rewards: np.ndarray
+    thresholds: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def run(config: ValidatedConfig,
     kind = ObjectiveKind(cfg.objective)
     root = RngStream(cfg.seed)
 
-    coeffs = ar_coefficients(cfg.doppler_coherence_product, cfg.ar_order)
+    coeffs = ar_coefficients(cfg.doppler_coherence_product)
     channels = init_channels(cfg, root)
     thresholds = draw_rate_thresholds(cfg, root)
     psets = [init_particles(cfg, np.ones(m, dtype=bool),
@@ -163,7 +164,8 @@ def run(config: ValidatedConfig,
         if slot_hook is not None:
             slot_hook(SlotSnapshot(slot=t, gains_sq=gains_sq,
                                    availability=available.copy(), alloc=alloc,
-                                   power_w=power, rates=rates, rewards=rewards))
+                                   power_w=power, rates=rates, rewards=rewards,
+                                   thresholds=thresholds))
         alloc_prev, power_prev, rewards_prev = alloc, power, rewards
 
     summary = RunSummary(
@@ -176,10 +178,11 @@ def run(config: ValidatedConfig,
     return summary, records
 
 
-_METRICS = ("avg_throughput_bps", "avg_jain", "total_messages")
+SUMMARY_METRICS = ("avg_throughput_bps", "avg_jain", "total_messages")
 
 
-def _metric(summary: RunSummary, name: str) -> float:
+def summary_metric(summary: RunSummary, name: str) -> float:
+    """One of ``SUMMARY_METRICS`` read off a run summary."""
     if name == "avg_throughput_bps":
         return summary.per_user_avg_throughput
     if name == "avg_jain":
@@ -192,8 +195,8 @@ def replicate(config: SystemConfig, seeds: Sequence[int]) -> ReplicateResult:
     summaries = [run(validate(replace(config, seed=int(s))))[0] for s in seeds]
     mean = {}
     std = {}
-    for name in _METRICS:
-        values = np.array([_metric(s, name) for s in summaries])
+    for name in SUMMARY_METRICS:
+        values = np.array([summary_metric(s, name) for s in summaries])
         mean[name] = float(values.mean())
         std[name] = float(values.std())
     return ReplicateResult(summaries=summaries, mean=mean, std=std)

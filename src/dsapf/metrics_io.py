@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import RunSummary, SlotRecord
+from .engine import SUMMARY_METRICS, RunSummary, SlotRecord, summary_metric
 
 SLOT_COLUMNS = ("slot", "occupancy", "jain", "messages",
                 "mean_rate_bps", "min_rate_bps", "max_rate_bps")
@@ -21,8 +21,6 @@ SUMMARY_COLUMNS = ("seed", "objective", "n_users", "n_bands", "ell",
                    "n_particles", "pu_busy_prob", "avg_throughput_bps",
                    "avg_jain", "total_messages")
 SWEEP_COLUMNS = ("parameter", "value", "metric", "mean", "std")
-
-SWEEP_METRICS = ("avg_throughput_bps", "avg_jain", "total_messages")
 
 
 def _cell(value) -> str:
@@ -78,8 +76,6 @@ def sweep_table(groups: Sequence[tuple[object, Sequence[RunSummary]]],
     Groups are sorted ascending by value.  Summaries must differ only in the
     swept parameter and the seed; anything else is a mixed sweep and raises.
     """
-    from .engine import _metric
-
     reference = None
     for value, summaries in groups:
         for s in summaries:
@@ -93,8 +89,8 @@ def sweep_table(groups: Sequence[tuple[object, Sequence[RunSummary]]],
 
     rows: list[list] = []
     for value, summaries in sorted(groups, key=lambda g: g[0]):
-        for metric in SWEEP_METRICS:
-            values = np.array([_metric(s, metric) for s in summaries], dtype=float)
+        for metric in SUMMARY_METRICS:
+            values = np.array([summary_metric(s, metric) for s in summaries])
             rows.append([parameter, value, metric,
                          float(values.mean()), float(values.std())])
     return rows

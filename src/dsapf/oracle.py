@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import ObjectiveKind, evaluate_batch
-from .phy import elastic_reward
+from .phy import elastic_reward, user_rates
 from .powerfill import water_fill_batch
-
-_INV_LN2 = 1.0 / np.log(2.0)
 
 MAX_JOINT_ASSIGNMENTS = 10**6
 _CHUNK = 16384
@@ -95,13 +93,8 @@ def _assignment_powers(inst: TinyInstance, alloc: np.ndarray) -> np.ndarray:
 
 def _assignment_rewards(inst: TinyInstance, alloc: np.ndarray,
                         power: np.ndarray) -> np.ndarray:
-    diag = np.einsum("iij->ij", inst.gains_sq)
-    received = np.einsum("ikj,bkj->bij", inst.gains_sq, power)
-    signal = diag[None] * power
-    interference = np.maximum(received - signal, 0.0)
-    snr = signal / (interference + inst.noise_band_w)
-    rates = inst.bandwidth_hz * _INV_LN2 * (
-        np.log1p(snr) * inst.availability).sum(axis=2)
+    rates = user_rates(alloc, power, inst.gains_sq, inst.availability,
+                       inst.bandwidth_hz, inst.noise_band_w)
     return elastic_reward(rates, inst.thresholds, inst.beta)
 
 

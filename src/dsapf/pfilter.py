@@ -11,23 +11,13 @@ each candidate's predicted reward explains the reward actually measured
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .objectives import ObjectiveKind, evaluate_batch
-from .phy import elastic_reward
+from .phy import elastic_reward, shannon_rates
 from .powerfill import water_fill_batch
 from .system import RngStream, ValidatedConfig
-
-_INV_LN2 = 1.0 / np.log(2.0)
-
-
-class Particle(NamedTuple):
-    """Read-only view of one particle: its band subset and weight."""
-
-    selection: frozenset
-    weight: float
 
 
 @dataclass
@@ -44,11 +34,6 @@ class ParticleSet:
     weights: np.ndarray
     max_bands: int
     running_reward_mean: float | None = None
-
-    @property
-    def particles(self) -> list[Particle]:
-        return [Particle(frozenset(np.flatnonzero(row).tolist()), float(w))
-                for row, w in zip(self.selections, self.weights)]
 
 
 @dataclass(frozen=True)
@@ -189,7 +174,7 @@ def decide(pset: ParticleSet, agent: int, view: NeighborView,
     else:
         powers = water_fill_batch(np.broadcast_to(g_eff, sel.shape), sel,
                                   view.p_total_w, view.p_band_cap_w)
-    own_rate = view.bandwidth_hz * _INV_LN2 * (np.log1p(powers * g_eff) * avail).sum(1)
+    own_rate = shannon_rates(powers * g_eff, avail, view.bandwidth_hz)
     own_reward = elastic_reward(own_rate, view.thresholds[i], view.beta)
 
     if objective is ObjectiveKind.INTRINSIC:
@@ -199,8 +184,8 @@ def decide(pset: ParticleSet, agent: int, view: NeighborView,
         from_agent = view.gains_sq[:, i, :]                       # (n, m)
         base = view.rp_base - signal - from_agent * view.power_w[i]
         interf = np.maximum(base[None] + from_agent[None] * powers[:, None, :], 0.0)
-        rates = view.bandwidth_hz * _INV_LN2 * (
-            np.log1p(signal[None] / (interf + noise)) * avail).sum(2)
+        rates = shannon_rates(signal[None] / (interf + noise), avail,
+                              view.bandwidth_hz)
         rewards = elastic_reward(rates, view.thresholds, view.beta)
         rewards[:, i] = own_reward
         scores = evaluate_batch(objective, rewards, i)

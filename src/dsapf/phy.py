@@ -38,20 +38,31 @@ def throughput(user: int, alloc: np.ndarray, power_w: np.ndarray,
 
 def sinr_matrix(alloc: np.ndarray, power_w: np.ndarray, gains_sq: np.ndarray,
                 noise_band_w: float) -> np.ndarray:
-    """All users' per-band SINR at once; zero on unselected bands."""
+    """All users' per-band SINR at once; zero on unselected bands.
+
+    ``alloc`` and ``power_w`` may carry leading batch axes, (..., n, m).
+    """
     tx = power_w * alloc
-    received = np.einsum("ikj,kj->ij", gains_sq, tx)
+    received = np.einsum("ikj,...kj->...ij", gains_sq, tx)
     signal = np.einsum("iij->ij", gains_sq) * tx
     interference = np.maximum(received - signal, 0.0)
     return signal / (interference + noise_band_w)
 
 
+def shannon_rates(snr: np.ndarray, availability: np.ndarray,
+                  bandwidth_hz: float) -> np.ndarray:
+    """Shannon rate B*log2(1+snr) summed over the available bands (last
+    axis) [bit/s]."""
+    return bandwidth_hz * _INV_LN2 * (np.log1p(snr) * availability).sum(axis=-1)
+
+
 def user_rates(alloc: np.ndarray, power_w: np.ndarray, gains_sq: np.ndarray,
                availability: np.ndarray, bandwidth_hz: float,
                noise_band_w: float) -> np.ndarray:
-    """Vector of realized throughputs, one entry per user [bit/s]."""
+    """Realized throughputs, one entry per user [bit/s]; batched like
+    ``sinr_matrix``."""
     snr = sinr_matrix(alloc, power_w, gains_sq, noise_band_w)
-    return bandwidth_hz * _INV_LN2 * (np.log1p(snr) * availability).sum(axis=1)
+    return shannon_rates(snr, availability, bandwidth_hz)
 
 
 def elastic_reward(rate, threshold, beta: float):

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .system import BUDGET_RTOL
+
 # Stand-in inverse gain for bands that must never receive power.
 _HUGE_INV_GAIN = 1e18
 _MIN_GAIN = 1e-30
@@ -94,7 +96,9 @@ def water_fill_batch(gains: np.ndarray, active: np.ndarray, p_total_w: float,
     zero power.  The water level is found exactly: the total power allocated
     as a function of the level is piecewise linear with breakpoints at
     1/g_j and 1/g_j + cap_j, so locating the bracketing breakpoints and
-    interpolating meets the budget to machine precision.
+    interpolating meets the budget to machine precision relative to the
+    largest 1/g_j involved; a row that would still overshoot the budget by
+    more than ``BUDGET_RTOL`` is scaled back onto it.
     """
     gains = np.asarray(gains, dtype=float)
     active = np.asarray(active, dtype=bool)
@@ -130,4 +134,12 @@ def water_fill_batch(gains: np.ndarray, active: np.ndarray, p_total_w: float,
     exhausted = cap_sum <= target
     if np.any(exhausted):
         powers[exhausted] = caps[exhausted]
+    # Where 1/g dwarfs the budget (far below the noise floor), level - 1/g
+    # meets the budget only to within the rounding of 1/g; scale such rows
+    # back onto it.  (A matrix-vector product sums the short rows several
+    # times faster than sum(axis=1).)
+    total = powers @ np.ones(m)
+    over = total > target * (1.0 + BUDGET_RTOL)
+    if np.any(over):
+        powers[over] *= (target[over] / total[over])[:, None]
     return powers

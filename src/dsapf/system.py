@@ -49,7 +49,6 @@ class SystemConfig:
     path_loss_exponent: float = 3.0
     reference_distance_m: float = 1.0
     direct_gain_advantage_db: float = 3.0  # mean direct gain over mean cross gain
-    ar_order: int = 1               # autoregressive fading model order
     doppler_coherence_product: float = 0.05  # doppler frequency x slot duration
     pu_busy_prob: float = 0.0       # per-band chance the licensed owner is active
     objective: str = "sum"          # intrinsic | sum | maxmin | proportional_fair
@@ -78,10 +77,23 @@ class ValidatedConfig:
         return getattr(object.__getattribute__(self, "base"), name)
 
 
+# Levels in dB or dBm stay within +-MAX_LEVEL_DB and magnitudes (bandwidth,
+# distance, doppler product) within MAX_MAGNITUDE of their unit, so every
+# linear power, gain and bandwidth lies in [1e-30, 1e30] and no product of
+# them formed during a run can overflow or underflow float64.
+MAX_LEVEL_DB = 300.0
+MAX_MAGNITUDE = 1e30
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate(config: SystemConfig) -> ValidatedConfig:
     """Check every invariant and cache the linear-unit conversions.
 
-    Raises ``ConfigError`` naming the first offending field.
+    Raises ``ConfigError`` naming the first offending field.  NaN fails
+    every check, and so does an infinite float.
     """
 
     c = config
@@ -89,52 +101,45 @@ def validate(config: SystemConfig) -> ValidatedConfig:
     def fail(msg: str) -> None:
         raise ConfigError(msg)
 
-    if not isinstance(c.n_users, int) or c.n_users < 1:
+    def within(name: str, low: float, high: float) -> None:
+        if not low <= getattr(c, name) <= high:
+            fail(f"{name} must be in [{low:g}, {high:g}]")
+
+    if not _is_int(c.n_users) or c.n_users < 1:
         fail("n_users must be an integer >= 1")
-    if not isinstance(c.n_bands, int) or c.n_bands < 1:
+    if not _is_int(c.n_bands) or c.n_bands < 1:
         fail("n_bands must be an integer >= 1")
-    if not isinstance(c.max_bands_per_user, int) or c.max_bands_per_user < 1:
+    if not _is_int(c.max_bands_per_user) or c.max_bands_per_user < 1:
         fail("max_bands_per_user must be an integer >= 1")
     if c.max_bands_per_user > c.n_bands:
         fail("max_bands_per_user exceeds n_bands")
-    if not isinstance(c.n_particles, int) or c.n_particles < 1:
+    if not _is_int(c.n_particles) or c.n_particles < 1:
         fail("n_particles must be an integer >= 1")
-    if not c.bandwidth_hz > 0.0:
-        fail("bandwidth_hz must be > 0")
-    if not math.isfinite(c.p_total_max_dbm):
-        fail("p_total_max_dbm must be finite")
-    if not math.isfinite(c.p_band_max_dbm):
-        fail("p_band_max_dbm must be finite")
-    if not math.isfinite(c.noise_psd_dbm_hz):
-        fail("noise_psd_dbm_hz must be finite")
-    if c.beta < 0.0:
-        fail("beta must be >= 0")
+    within("bandwidth_hz", 1.0 / MAX_MAGNITUDE, MAX_MAGNITUDE)
+    within("p_total_max_dbm", -MAX_LEVEL_DB, MAX_LEVEL_DB)
+    within("p_band_max_dbm", -MAX_LEVEL_DB, MAX_LEVEL_DB)
+    within("noise_psd_dbm_hz", -MAX_LEVEL_DB, MAX_LEVEL_DB)
+    if not (c.beta >= 0.0 and math.isfinite(c.beta)):
+        fail("beta must be finite and >= 0")
     lo, hi = c.rate_threshold_range_bps
-    if lo < 0.0 or hi < lo:
-        fail("rate_threshold_range_bps must satisfy 0 <= low <= high")
-    if not c.path_loss_exponent > 0.0:
-        fail("path_loss_exponent must be > 0")
-    if not c.reference_distance_m > 0.0:
-        fail("reference_distance_m must be > 0")
-    if c.direct_gain_advantage_db < 0.0:
-        fail("direct_gain_advantage_db must be >= 0")
-    if not isinstance(c.ar_order, int) or c.ar_order < 1:
-        fail("ar_order must be an integer >= 1")
-    if c.doppler_coherence_product < 0.0:
-        fail("doppler_coherence_product must be >= 0")
-    if not 0.0 <= c.pu_busy_prob <= 1.0:
-        fail("pu_busy_prob must be in [0, 1]")
+    if not (0.0 <= lo <= hi and math.isfinite(hi)):
+        fail("rate_threshold_range_bps must satisfy 0 <= low <= high < inf")
+    if not (c.path_loss_exponent > 0.0 and math.isfinite(c.path_loss_exponent)):
+        fail("path_loss_exponent must be finite and > 0")
+    within("reference_distance_m", 1.0 / MAX_MAGNITUDE, MAX_MAGNITUDE)
+    within("direct_gain_advantage_db", 0.0, MAX_LEVEL_DB)
+    within("doppler_coherence_product", 0.0, MAX_MAGNITUDE)
+    within("pu_busy_prob", 0.0, 1.0)
     if c.objective not in OBJECTIVE_NAMES:
         fail("objective must be one of " + ", ".join(OBJECTIVE_NAMES))
-    if not c.likelihood_sigma_frac > 0.0:
-        fail("likelihood_sigma_frac must be > 0")
-    if not 0.0 <= c.mutation_prob <= 1.0:
-        fail("mutation_prob must be in [0, 1]")
+    if not (c.likelihood_sigma_frac > 0.0 and math.isfinite(c.likelihood_sigma_frac)):
+        fail("likelihood_sigma_frac must be finite and > 0")
+    within("mutation_prob", 0.0, 1.0)
     if not 0.0 < c.ess_threshold_frac <= 1.0:
         fail("ess_threshold_frac must be in (0, 1]")
-    if not isinstance(c.n_slots, int) or c.n_slots < 1:
+    if not _is_int(c.n_slots) or c.n_slots < 1:
         fail("n_slots must be an integer >= 1")
-    if not isinstance(c.seed, int) or not 0 <= c.seed < 2**64:
+    if not _is_int(c.seed) or not 0 <= c.seed < 2**64:
         fail("seed must be an integer in [0, 2**64)")
 
     noise_psd_w = dbm_to_watt(c.noise_psd_dbm_hz)
@@ -205,8 +210,12 @@ def validate_allocation(alloc: np.ndarray, availability: np.ndarray,
         raise ValueError("allocation exceeds max_bands_per_user")
 
 
+# Relative slack on power budgets and caps that solver rounding may use.
+BUDGET_RTOL = 1e-9
+
+
 def validate_power(power_w: np.ndarray, alloc: np.ndarray, p_total_max_w: float,
-                   p_band_max_w: float, rel_tol: float = 1e-9) -> None:
+                   p_band_max_w: float, rel_tol: float = BUDGET_RTOL) -> None:
     """Raise if powers are negative, off-allocation, or over budget/cap."""
     if np.any(power_w < 0.0):
         raise ValueError("negative transmit power")

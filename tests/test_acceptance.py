@@ -248,7 +248,7 @@ def test_property_suite():
     # fading autocorrelation matches the configured coefficient
     cfg = validate(SystemConfig(n_users=1, n_bands=100, max_bands_per_user=1,
                                 n_particles=2, n_slots=1, seed=3))
-    coeffs = channel.ar_coefficients(cfg.doppler_coherence_product, 1)
+    coeffs = channel.ar_coefficients(cfg.doppler_coherence_product)
     tensor = channel.init_channels(cfg, RngStream(3))
     steps = 10_000
     seq = np.empty((steps, 100), dtype=complex)
@@ -258,8 +258,8 @@ def test_property_suite():
     x = seq.real
     corr = np.corrcoef(x[:-1].ravel(), x[1:].ravel())[0, 1]
     results.append(("fading autocorrelation",
-                    abs(corr - coeffs.alpha[0]) < 0.01,
-                    f"lag-1 {corr:.4f} vs {coeffs.alpha[0]:.4f}"))
+                    abs(corr - coeffs.a1) < 0.01,
+                    f"lag-1 {corr:.4f} vs {coeffs.a1:.4f}"))
 
     # availability compliance over 1000 slots
     cfg = validate(SystemConfig(n_users=5, n_bands=6, max_bands_per_user=3,

@@ -23,29 +23,24 @@ def bessel_j0_series(x: float) -> float:
 def test_ar_coefficient_matches_bessel_series():
     coeffs = ar_coefficients(0.05)
     expected = bessel_j0_series(2.0 * math.pi * 0.05)
-    assert coeffs.alpha.shape == (1,)
-    assert coeffs.alpha[0] == pytest.approx(expected, rel=1e-13)
-    assert coeffs.alpha[0] == pytest.approx(0.9754777740752495, rel=1e-14)
+    assert coeffs.a1 == pytest.approx(expected, rel=1e-13)
+    assert coeffs.a1 == pytest.approx(0.9754777740752495, rel=1e-14)
 
 
 def test_ar_innovation_preserves_unit_power():
     for product in (0.01, 0.05, 0.2):
         c = ar_coefficients(product)
-        assert c.alpha[0] ** 2 + c.xi ** 2 == pytest.approx(1.0, rel=1e-12)
+        assert c.a1 ** 2 + c.xi ** 2 == pytest.approx(1.0, rel=1e-12)
     assert ar_coefficients(0.05).xi == pytest.approx(0.2200979606566051, rel=1e-12)
 
 
 def test_ar_zero_doppler_freezes():
     c = ar_coefficients(0.0)
-    assert c.alpha[0] == 1.0
+    assert c.a1 == 1.0
     assert c.xi == 0.0
 
 
-def test_ar_rejects_bad_orders_and_products():
-    with pytest.raises(ValueError):
-        ar_coefficients(0.05, order=0)
-    with pytest.raises(ValueError, match="not supported"):
-        ar_coefficients(0.05, order=2)
+def test_ar_rejects_negative_product():
     with pytest.raises(ValueError):
         ar_coefficients(-0.1)
 
@@ -107,15 +102,16 @@ def test_prediction_is_conditional_mean():
     cfg = validate(SystemConfig(n_users=2, n_bands=3))
     coeffs = ar_coefficients(cfg.doppler_coherence_product)
     tensor = init_channels(cfg, RngStream(8))
+    before = tensor.current.copy()
     predicted = predict_channels(tensor, coeffs)
-    assert np.allclose(predicted, coeffs.alpha[0] * tensor.current, rtol=1e-12)
+    assert np.allclose(predicted, coeffs.a1 * before, rtol=1e-12)
     # prediction must not advance the state
-    assert np.array_equal(tensor.current, tensor.history[0])
+    assert np.array_equal(tensor.current, before)
 
 
 def test_lag_one_autocorrelation_matches_coefficient():
     # 100 parallel unit-power links stepped 10^4 times; the pooled lag-1
-    # autocorrelation estimate must land within 0.01 of alpha_1.
+    # autocorrelation estimate must land within 0.01 of a1.
     cfg = validate(SystemConfig(n_users=1, n_bands=100))
     coeffs = ar_coefficients(cfg.doppler_coherence_product)
     tensor = init_channels(cfg, RngStream(13))
@@ -126,7 +122,7 @@ def test_lag_one_autocorrelation_matches_coefficient():
         step_channels(tensor, coeffs, RngStream(13, (5, t)))
         num += float(np.real(tensor.current * np.conj(prev)).sum())
         den += float((np.abs(prev) ** 2).sum())
-    assert num / den == pytest.approx(coeffs.alpha[0], abs=0.01)
+    assert num / den == pytest.approx(coeffs.a1, abs=0.01)
 
 
 def test_innovation_variance_matches_prediction_error():
@@ -152,10 +148,10 @@ def test_long_run_power_stays_stationary():
     assert power == pytest.approx(tensor.mean_gain[0, 0], rel=0.15)
 
 
-def test_history_shape_and_current_alias():
+def test_state_is_one_gain_tensor():
     cfg = validate(SystemConfig(n_users=3, n_bands=4))
     tensor = init_channels(cfg, RngStream(1))
     assert isinstance(tensor, ChannelTensor)
-    assert tensor.history.shape == (1, 3, 3, 4)
-    assert np.array_equal(tensor.current, tensor.history[0])
+    assert tensor.current.shape == (3, 3, 4)
+    assert tensor.mean_gain.shape == (3, 3)
     assert AREA_SIDE_FACTOR > 0.0

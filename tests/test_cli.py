@@ -1,10 +1,13 @@
 """Command-line front end: scenarios, subcommands, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dsapf
 from dsapf.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, load_scenario, main
 from dsapf.system import ConfigError
 
@@ -91,6 +94,23 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
     assert main(["run", "--config", str(path),
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert "n_users" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ar_order = 2\n", "unknown key 'ar_order'"),
+    ("bandwidth_hz = inf\n", "bandwidth_hz"),
+    ("beta = nan\n", "beta"),
+    ("doppler_coherence_product = nan\n", "doppler_coherence_product"),
+    ("rate_threshold_range_bps = nan, nan\n", "rate_threshold_range_bps"),
+    ("p_total_max_dbm = 4000\n", "p_total_max_dbm"),
+    ("noise_psd_dbm_hz = -4000\n", "noise_psd_dbm_hz"),
+])
+def test_run_rejects_unrunnable_scenario_files(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.scn"
+    path.write_text("n_users = 3\nn_bands = 3\nn_slots = 3\n" + text)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_run_missing_scenario_is_io_error(tmp_path, capsys):
@@ -204,9 +224,13 @@ def test_oracle_check_rejects_large_instances(tmp_path, capsys):
 
 
 def test_module_entry_point(scenario, tmp_path):
+    # The child imports the package these tests import, also when pytest put
+    # it on sys.path from its own configuration rather than PYTHONPATH.
+    src = str(Path(dsapf.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "dsapf", "run", "--config", scenario,
          "--out", str(tmp_path / "m")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert "avg_jain=" in result.stdout

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dsapf.engine import (ReplicateResult, jain_index, replicate, run)
-from dsapf.system import SystemConfig, validate
+from dsapf.phy import draw_rate_thresholds, elastic_reward
+from dsapf.system import RngStream, SystemConfig, validate
 
 
 def make_config(**kw):
@@ -127,7 +128,11 @@ def test_slot_hook_sees_every_slot_in_order():
     snaps = []
     _, records = run(cfg, slot_hook=snaps.append)
     assert [s.slot for s in snaps] == list(range(9))
+    thresholds = draw_rate_thresholds(cfg, RngStream(cfg.seed))
     for snap, rec in zip(snaps, records):
+        assert np.array_equal(snap.thresholds, thresholds)
+        assert np.array_equal(snap.rewards,
+                              elastic_reward(snap.rates, thresholds, cfg.beta))
         assert np.array_equal(snap.rates, rec.realized_rates)
         bands = [tuple(np.flatnonzero(row).tolist()) for row in snap.alloc]
         assert bands == rec.per_user_selected_bands

@@ -67,6 +67,14 @@ def test_vectorized_rates_match_scalar_route():
         assert vec[i] == pytest.approx(
             throughput(i, alloc, power, gains, avail, 2e6, noise), rel=1e-12)
 
+    # a batch of allocations is the same as one call per allocation
+    batch = np.stack([alloc, ~alloc])
+    batch_power = np.stack([power, np.where(~alloc, 1.0, 0.0)])
+    batched = user_rates(batch, batch_power, gains, avail, 2e6, noise)
+    assert np.array_equal(batched[0], vec)
+    assert np.array_equal(batched[1], user_rates(batch[1], batch_power[1], gains,
+                                                 avail, 2e6, noise))
+
     snr = sinr_matrix(alloc, power, gains, noise)
     for i in range(n):
         for j in range(m):

@@ -127,3 +127,15 @@ def test_batch_edge_rows():
     capped = water_fill_batch(np.array([[1.0, 1.0]]),
                               np.array([[True, True]]), 5.0, 0.4)
     assert np.allclose(capped, [[0.4, 0.4]])
+
+
+def test_batch_keeps_budget_far_below_noise_floor():
+    # 1/g of about 6e7 W against a 1 mW budget: the water level carries the
+    # budget only to within the rounding of 1/g.  Found by the config
+    # property test (noise at 0 dBm/Hz, two bands per user).
+    gains = np.array([[6.671521120750739e-11, 1.6090792265804443e-08]])
+    p_total, cap = 1e-3, 0.0019952623149688794
+    out = water_fill_batch(gains, np.ones((1, 2), bool), p_total, cap)
+    assert out.sum() <= p_total * (1.0 + 1e-9)
+    assert out.sum() == pytest.approx(p_total, rel=1e-12)
+    assert out[0, 0] == 0.0     # all power on the stronger band

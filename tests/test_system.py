@@ -1,12 +1,18 @@
 """Configuration validation, unit conversions, and the substream contract."""
 
+import math
+import typing
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import event, given, settings, strategies as st
 
-from dsapf.system import (ConfigError, Domain, RngStream, SystemConfig,
-                          dbm_to_watt, derive_substream, validate,
-                          validate_allocation, validate_power, watt_to_dbm)
+from dsapf.engine import run
+from dsapf.system import (OBJECTIVE_NAMES, ConfigError, Domain, RngStream,
+                          SystemConfig, dbm_to_watt, derive_substream,
+                          validate, validate_allocation, validate_power,
+                          watt_to_dbm)
 
 
 def test_dbm_anchors():
@@ -56,7 +62,7 @@ def test_validate_defaults_and_derived_units():
     (dict(path_loss_exponent=0.0), "path_loss_exponent"),
     (dict(reference_distance_m=0.0), "reference_distance_m"),
     (dict(direct_gain_advantage_db=-1.0), "direct_gain_advantage_db"),
-    (dict(ar_order=0), "ar_order"),
+    (dict(direct_gain_advantage_db=float("nan")), "direct_gain_advantage_db"),
     (dict(doppler_coherence_product=-0.1), "doppler_coherence_product"),
     (dict(pu_busy_prob=1.5), "pu_busy_prob"),
     (dict(objective="bogus"), "objective"),
@@ -66,10 +72,85 @@ def test_validate_defaults_and_derived_units():
     (dict(n_slots=0), "n_slots"),
     (dict(seed=-1), "seed"),
     (dict(seed=2**64), "seed"),
+    # non-finite and out-of-range floats
+    (dict(bandwidth_hz=float("inf")), "bandwidth_hz"),
+    (dict(bandwidth_hz=float("nan")), "bandwidth_hz"),
+    (dict(beta=float("nan")), "beta"),
+    (dict(beta=float("inf")), "beta"),
+    (dict(doppler_coherence_product=float("nan")), "doppler_coherence_product"),
+    (dict(doppler_coherence_product=float("inf")), "doppler_coherence_product"),
+    (dict(direct_gain_advantage_db=float("inf")), "direct_gain_advantage_db"),
+    (dict(reference_distance_m=float("nan")), "reference_distance_m"),
+    (dict(reference_distance_m=float("inf")), "reference_distance_m"),
+    (dict(rate_threshold_range_bps=(float("nan"), float("nan"))),
+     "rate_threshold_range_bps"),
+    (dict(rate_threshold_range_bps=(0.0, float("inf"))), "rate_threshold_range_bps"),
+    (dict(path_loss_exponent=float("inf")), "path_loss_exponent"),
+    (dict(likelihood_sigma_frac=float("inf")), "likelihood_sigma_frac"),
+    # dBm levels whose linear value overflows or underflows
+    (dict(p_total_max_dbm=4000.0), "p_total_max_dbm"),
+    (dict(noise_psd_dbm_hz=-4000.0), "noise_psd_dbm_hz"),
+    # booleans are not integers
+    (dict(n_users=True), "n_users"),
+    (dict(n_bands=True), "n_bands"),
+    (dict(max_bands_per_user=True), "max_bands_per_user"),
+    (dict(n_particles=True), "n_particles"),
+    (dict(n_slots=True), "n_slots"),
+    (dict(seed=False), "seed"),
 ])
 def test_validate_names_offending_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         validate(SystemConfig(**kwargs))
+
+
+# Sizes stay small so each example runs in milliseconds.
+_SIZE_LIMITS = dict(n_users=4, n_bands=3, max_bands_per_user=3, n_particles=4,
+                    n_slots=3)
+
+
+def _any_value(name: str, hint):
+    """Any value of a field's type: any float (NaN, infinities, subnormals,
+    extremes), any small integer or a bool, any short string."""
+    if name in _SIZE_LIMITS:
+        return st.integers(-1, _SIZE_LIMITS[name]) | st.booleans()
+    if name == "seed":
+        return st.integers(-1, 2**64) | st.booleans()
+    if hint is float:
+        return st.floats()
+    if hint is str:
+        return st.sampled_from(OBJECTIVE_NAMES) | st.text(max_size=3)
+    return st.tuples(st.floats(), st.floats())
+
+
+@st.composite
+def _configs(draw):
+    """Up to three fields take any value of their type; the others keep a
+    valid value (a small size, or the default), so that a config breaking
+    one field at a time can still reach the engine."""
+    hints = typing.get_type_hints(SystemConfig)
+    values = {name: draw(st.integers(1, top)) for name, top in _SIZE_LIMITS.items()}
+    names = [f.name for f in fields(SystemConfig)]
+    for name in draw(st.sets(st.sampled_from(names), max_size=3)):
+        values[name] = draw(_any_value(name, hints[name]))
+    return SystemConfig(**values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_configs())
+def test_every_config_is_rejected_or_runs_finite(cfg):
+    try:
+        vcfg = validate(cfg)
+    except ConfigError:
+        event("rejected")
+        return
+    event("ran")
+    summary, records = run(vcfg)   # raises on any invariant violation
+    assert math.isfinite(summary.per_user_avg_throughput)
+    assert math.isfinite(summary.avg_jain)
+    for r in records:
+        assert np.isfinite(r.realized_rates).all()
+        assert np.isfinite(r.realized_rewards).all()
+        assert math.isfinite(r.jain)
 
 
 def test_validate_boundary_values_accepted():
@@ -78,6 +159,24 @@ def test_validate_boundary_values_accepted():
     validate(SystemConfig(mutation_prob=1.0))
     validate(SystemConfig(beta=0.0))
     validate(SystemConfig(doppler_coherence_product=0.0))
+
+
+@pytest.mark.parametrize("extremes", [
+    # loudest corner: top power and direct gain over the quietest noise
+    dict(p_total_max_dbm=300.0, p_band_max_dbm=300.0, noise_psd_dbm_hz=-300.0,
+         direct_gain_advantage_db=300.0, bandwidth_hz=1e-30,
+         rate_threshold_range_bps=(0.0, 1.7e308)),
+    # quietest corner: least power into the loudest noise over the widest band
+    dict(p_total_max_dbm=-300.0, p_band_max_dbm=-300.0, noise_psd_dbm_hz=300.0,
+         bandwidth_hz=1e30, path_loss_exponent=1e300, beta=1e308,
+         reference_distance_m=1e30, doppler_coherence_product=1e30),
+])
+def test_range_limits_are_accepted_and_run_finite(extremes):
+    cfg = validate(SystemConfig(n_users=4, n_bands=3, max_bands_per_user=2,
+                                n_particles=3, n_slots=2, **extremes))
+    summary, _ = run(cfg)
+    assert math.isfinite(summary.per_user_avg_throughput)
+    assert math.isfinite(summary.avg_jain)
 
 
 def test_objective_error_lists_valid_names():
