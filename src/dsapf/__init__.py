@@ -11,9 +11,9 @@ from .engine import (ReplicateResult, RunSummary, SlotRecord, jain_index,
                      replicate, run)
 from .objectives import ObjectiveKind, evaluate
 from .oracle import InstanceTooLargeError, TinyInstance, solve_exhaustive
-from .pfilter import (DecideResult, NeighborView, ParticleSet, decide,
-                      effective_sample_size, init_particles, predict,
-                      systematic_resample, update_weights)
+from .pfilter import (ParticleSet, decide, effective_sample_size,
+                      init_particles, predict, systematic_resample,
+                      update_weights)
 from .powerfill import WaterFillProblem, water_fill
 from .system import (ConfigError, RngStream, SystemConfig, ValidatedConfig,
                      dbm_to_watt, derive_substream, validate, watt_to_dbm)
@@ -21,8 +21,8 @@ from .system import (ConfigError, RngStream, SystemConfig, ValidatedConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArCoefficients", "ChannelTensor", "ConfigError", "DecideResult",
-    "InstanceTooLargeError", "NeighborView", "ObjectiveKind", "ParticleSet",
+    "ArCoefficients", "ChannelTensor", "ConfigError",
+    "InstanceTooLargeError", "ObjectiveKind", "ParticleSet",
     "ReplicateResult", "RngStream", "RunSummary", "SlotRecord", "SystemConfig",
     "TinyInstance", "ValidatedConfig", "WaterFillProblem",
     "ar_coefficients", "dbm_to_watt", "decide", "derive_substream",

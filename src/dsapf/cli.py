@@ -115,6 +115,8 @@ def _run_cell(config: SystemConfig, out_dir: str):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     config = load_scenario(args.config)
     if args.param not in _FIELD_NAMES:
         raise ConfigError(f"unknown sweep parameter '{args.param}'; valid: "
@@ -138,8 +140,11 @@ def cmd_sweep(args) -> int:
             validate(cell_cfg)  # fail fast before any engine work
             cells.append((value, cell_cfg, cell_dir))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A fork-started pool launches all of its workers at the first submit,
+    # so never ask for more workers than there are cells.
+    workers = min(args.jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell, cfg, out) for _, cfg, out in cells]
             summaries = [f.result() for f in futures]
     else:
@@ -201,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated values (use --values=... for negatives)")
     p_sweep.add_argument("--seeds", required=True, help="comma-separated seeds")
     p_sweep.add_argument("--out", default=_default_out())
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel cells")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel cells (>= 1; capped at the number of cells)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_oracle = sub.add_parser("oracle-check",

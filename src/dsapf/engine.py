@@ -1,12 +1,12 @@
 """Slot-by-slot simulation engine.
 
 Per slot: sense licensed-user activity, let every agent predict/decide from
-the same frozen snapshot of last slot's broadcasts plus the channel
-prediction, advance the true channels, realize rates and rewards under the
-simultaneous choices, then let each agent reweight and resample its
-particles against its realized reward.  Every random draw comes from a
-substream keyed by (domain, agent, slot), so a (seed, config) pair pins the
-whole trajectory bit for bit.
+the powers broadcast last slot plus the channel prediction, advance the true
+channels, realize rates and rewards under the simultaneous choices, then let
+each agent reweight and resample its particles against its realized reward.
+All agents' filters step together as one batched call per stage.  Every
+random draw comes from a substream keyed by (domain, agent, slot), so a
+(seed, config) pair pins the whole trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import ar_coefficients, init_channels, predict_channels, step_channels
-from .objectives import ObjectiveKind
 from .phy import draw_rate_thresholds, elastic_reward, user_rates
-from .pfilter import (decide, effective_sample_size, init_particles, make_view,
-                      predict, systematic_resample, update_weights)
+from .pfilter import (decide, effective_sample_size, init_particles, predict,
+                      systematic_resample, update_weights)
 from .primary_user import occupancy, sample_availability
 from .system import (Domain, RngStream, SystemConfig, ValidatedConfig,
                      derive_substream, validate, validate_allocation,
@@ -59,7 +58,9 @@ class RunSummary:
 class SlotSnapshot:
     """Engine internals exposed to an optional per-slot hook (used by the
     oracle comparison): realized squared gains, availability, the users'
-    demand thresholds, and the simultaneous choices with their outcome."""
+    demand thresholds, and the simultaneous choices with their outcome.
+    The arrays are the engine's own, not copies: a hook that writes into
+    ``power_w`` or ``thresholds`` changes the rest of the run."""
 
     slot: int
     gains_sq: np.ndarray
@@ -96,41 +97,27 @@ def run(config: ValidatedConfig,
     """Simulate one seeded trajectory; returns the summary and slot records."""
     cfg = config
     n, m, t_total = cfg.n_users, cfg.n_bands, cfg.n_slots
-    kind = ObjectiveKind(cfg.objective)
     root = RngStream(cfg.seed)
 
     coeffs = ar_coefficients(cfg.doppler_coherence_product)
     channels = init_channels(cfg, root)
     thresholds = draw_rate_thresholds(cfg, root)
-    psets = [init_particles(cfg, np.ones(m, dtype=bool),
-                            derive_substream(root, (Domain.PARTICLE_INIT, i)))
-             for i in range(n)]
+    pset = init_particles(cfg, [derive_substream(root, (Domain.PARTICLE_INIT, i))
+                                for i in range(n)])
 
-    alloc_prev = np.zeros((n, m), dtype=bool)
-    power_prev = np.zeros((n, m))
-    rewards_prev = np.zeros(n)
+    power = np.zeros((n, m))
     messages_per_slot = n * (n - 1)
     records: list[SlotRecord] = []
 
     for t in range(t_total):
         available = sample_availability(
             cfg.pu_busy_prob, m, derive_substream(root, (Domain.AVAILABILITY, t)))
-        predicted = predict_channels(channels, coeffs)
-        view = make_view(alloc_prev, power_prev, rewards_prev, predicted,
-                         available, thresholds, cfg.bandwidth_hz,
-                         cfg.noise_band_w, cfg.beta, cfg.p_total_max_w,
-                         cfg.p_band_max_w)
-
-        alloc = np.zeros((n, m), dtype=bool)
-        power = np.zeros((n, m))
-        hypothetical = np.zeros((n, cfg.n_particles))
-        for i in range(n):
-            predict(psets[i], available, cfg.mutation_prob,
-                    derive_substream(root, (Domain.PARTICLE_PREDICT, i, t)))
-            outcome = decide(psets[i], i, view, kind)
-            alloc[i] = outcome.selection
-            power[i] = outcome.power_w
-            hypothetical[i] = outcome.self_rewards
+        predicted_sq = np.abs(predict_channels(channels, coeffs)) ** 2
+        predict(pset, available, cfg.mutation_prob,
+                [derive_substream(root, (Domain.PARTICLE_PREDICT, i, t))
+                 for i in range(n)])
+        alloc, power, _, hypothetical = decide(pset, cfg, predicted_sq, power,
+                                               available, thresholds)
 
         validate_allocation(alloc, available, cfg.max_bands_per_user)
         validate_power(power, alloc, cfg.p_total_max_w, cfg.p_band_max_w)
@@ -141,32 +128,30 @@ def run(config: ValidatedConfig,
                            cfg.bandwidth_hz, cfg.noise_band_w)
         rewards = elastic_reward(rates, thresholds, cfg.beta)
 
-        for i in range(n):
-            ps = psets[i]
-            if ps.running_reward_mean is None:
-                ps.running_reward_mean = float(rewards[i])
-            else:
-                ps.running_reward_mean = ((1.0 - REWARD_EMA_WEIGHT) * ps.running_reward_mean
-                                          + REWARD_EMA_WEIGHT * float(rewards[i]))
-            sigma_r = cfg.likelihood_sigma_frac * ps.running_reward_mean
-            if sigma_r > 0.0:
-                update_weights(ps, float(rewards[i]), hypothetical[i], sigma_r)
-            if effective_sample_size(ps) < cfg.ess_threshold_frac * cfg.n_particles:
-                systematic_resample(
-                    ps, derive_substream(root, (Domain.PARTICLE_RESAMPLE, i, t)))
+        mean = pset.running_reward_mean
+        pset.running_reward_mean = (rewards.copy() if mean is None else
+                                    (1.0 - REWARD_EMA_WEIGHT) * mean
+                                    + REWARD_EMA_WEIGHT * rewards)
+        update_weights(pset, rewards, hypothetical,
+                       cfg.likelihood_sigma_frac * pset.running_reward_mean)
+        low = np.flatnonzero(effective_sample_size(pset)
+                             < cfg.ess_threshold_frac * cfg.n_particles)
+        if low.size:
+            systematic_resample(
+                pset, low, [derive_substream(root, (Domain.PARTICLE_RESAMPLE, i, t))
+                            for i in low])
 
         records.append(SlotRecord(
             slot=t, realized_rates=rates, realized_rewards=rewards,
             jain=jain_index(rewards), occupancy=occupancy(available),
             messages=messages_per_slot,
-            per_user_selected_bands=[tuple(np.flatnonzero(alloc[i]).tolist())
-                                     for i in range(n)]))
+            per_user_selected_bands=[tuple(np.flatnonzero(row).tolist())
+                                     for row in alloc]))
         if slot_hook is not None:
             slot_hook(SlotSnapshot(slot=t, gains_sq=gains_sq,
                                    availability=available.copy(), alloc=alloc,
                                    power_w=power, rates=rates, rewards=rewards,
                                    thresholds=thresholds))
-        alloc_prev, power_prev, rewards_prev = alloc, power, rewards
 
     summary = RunSummary(
         per_user_avg_throughput=float(np.mean([r.realized_rates.mean() for r in records])),

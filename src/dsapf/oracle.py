@@ -2,8 +2,9 @@
 
 Enumerates every joint band assignment (each user either idles or takes a
 subset of the feasible size) on a fixed channel snapshot and scores it under
-a chosen objective.  Useful only at toy scale, but there it certifies how
-close the distributed filter gets to the true optimum.
+a chosen objective, with powers set by one fixed rule.  Useful only at toy
+scale; the result is the optimum over joint band choices under that power
+rule, not an upper bound on what the filters reach.
 """
 
 from __future__ import annotations

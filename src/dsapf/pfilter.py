@@ -1,16 +1,19 @@
-"""Per-agent particle filter over band selections.
+"""Particle filters over band selections, one per agent, stepped together.
 
 Each agent tracks a population of candidate band subsets (particles).  Every
-slot it perturbs them (prediction), scores each candidate against a snapshot
-of the last broadcast network state plus the predicted channels, transmits
-the best one (decision), and afterwards reweights the population by how well
-each candidate's predicted reward explains the reward actually measured
-(weighting), resampling when the weights degenerate.
+slot it perturbs them (prediction), scores each candidate against the powers
+everyone broadcast last slot plus the predicted channels, transmits the best
+one (decision), and afterwards reweights the population by how well each
+candidate's predicted reward explains the reward actually measured
+(weighting), resampling when the weights degenerate.  All agents' filters
+live in one ``ParticleSet`` and every step acts on all of them at once; each
+agent still draws from its own random substream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,214 +25,177 @@ from .system import RngStream, ValidatedConfig
 
 @dataclass
 class ParticleSet:
-    """One agent's particle population.
+    """Every agent's particle population.
 
-    ``selections`` is a boolean (n_particles, n_bands) matrix, ``weights``
-    the matching probability simplex, and ``running_reward_mean`` an
-    exponentially smoothed record of observed rewards that sets the scale of
-    the reweighting likelihood.
+    ``selections`` is a boolean (agents, particles, bands) array,
+    ``weights`` the matching (agents, particles) rows on the probability
+    simplex, and ``running_reward_mean`` an (agents,) exponentially smoothed
+    record of observed rewards that sets the scale of the reweighting
+    likelihood (None before the first observation).
     """
 
     selections: np.ndarray
     weights: np.ndarray
     max_bands: int
-    running_reward_mean: float | None = None
+    running_reward_mean: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class NeighborView:
-    """Information an agent may act on in one slot: everything broadcast at
-    the end of the previous slot plus the current channel prediction and
-    sensed availability.  All arrays are frozen; decisions made from the same
-    view are order-independent across agents."""
-
-    alloc: np.ndarray            # (n, m) bool, selections broadcast at t-1
-    power_w: np.ndarray          # (n, m) transmit powers broadcast at t-1
-    rewards: np.ndarray          # (n,) rewards broadcast at t-1
-    gains_sq: np.ndarray         # (n, n, m) predicted |h|^2 for slot t
-    diag_gains_sq: np.ndarray    # (n, m) direct-link rows of gains_sq
-    rp_base: np.ndarray          # (n, m) received power at each rx under t-1 choices
-    availability: np.ndarray     # (m,) bool sensed for slot t
-    thresholds: np.ndarray       # (n,) demand thresholds
-    bandwidth_hz: float
-    noise_band_w: float
-    beta: float
-    p_total_w: float
-    p_band_cap_w: float
-
-
-@dataclass(frozen=True)
-class DecideResult:
-    """Outcome of one decision: the transmitted selection and power row plus
-    the per-particle objective scores and hypothetical own rewards (the
-    latter feed the weight update once the realized reward arrives)."""
-
-    selection: np.ndarray
-    power_w: np.ndarray
-    scores: np.ndarray
-    self_rewards: np.ndarray
-
-
-def make_view(alloc, power_w, rewards, predicted_gains, availability, thresholds,
-              bandwidth_hz, noise_band_w, beta, p_total_w, p_band_cap_w) -> NeighborView:
-    """Assemble and freeze the per-slot information snapshot."""
-    gains_sq = np.abs(predicted_gains) ** 2
-    diag = np.ascontiguousarray(np.einsum("iij->ij", gains_sq))
-    rp_base = np.einsum("ikj,kj->ij", gains_sq, power_w)
-    view = NeighborView(
-        alloc=alloc, power_w=power_w, rewards=rewards, gains_sq=gains_sq,
-        diag_gains_sq=diag, rp_base=rp_base,
-        availability=np.asarray(availability, bool), thresholds=thresholds,
-        bandwidth_hz=float(bandwidth_hz), noise_band_w=float(noise_band_w),
-        beta=float(beta), p_total_w=float(p_total_w),
-        p_band_cap_w=float(p_band_cap_w),
-    )
-    for arr in (view.alloc, view.power_w, view.rewards, view.gains_sq,
-                view.diag_gains_sq, view.rp_base, view.availability,
-                view.thresholds):
-        arr.flags.writeable = False
-    return view
-
-
-def _uniform_subsets(gen: np.random.Generator, n_rows: int,
-                     availability: np.ndarray, subset_size: int) -> np.ndarray:
-    """n_rows boolean rows, each a uniform subset_size-subset of the
-    available bands (top-k of i.i.d. random keys)."""
-    m = availability.size
-    out = np.zeros((n_rows, m), dtype=bool)
-    if subset_size == 0:
-        return out
-    keys = np.where(availability, gen.random((n_rows, m)), -1.0)
-    top = np.argpartition(-keys, subset_size - 1, axis=1)[:, :subset_size]
-    np.put_along_axis(out, top, True, axis=1)
+def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k largest keys along the last axis."""
+    out = np.zeros(keys.shape, dtype=bool)
+    top = np.argpartition(-keys, k - 1, axis=-1)[..., :k]
+    np.put_along_axis(out, top, True, axis=-1)
     return out
 
 
-def init_particles(config: ValidatedConfig, availability: np.ndarray,
-                   rng: RngStream) -> ParticleSet:
-    """Uniform particles over the feasible subsets, equal weights.
-
-    Each particle holds min(max_bands_per_user, available bands) bands; with
-    nothing available the particles are empty (the agent idles).
-    """
-    availability = np.asarray(availability, dtype=bool)
-    k = min(config.max_bands_per_user, int(availability.sum()))
-    gen = rng.generator()
-    selections = _uniform_subsets(gen, config.n_particles, availability, k)
-    weights = np.full(config.n_particles, 1.0 / config.n_particles)
-    return ParticleSet(selections=selections, weights=weights,
+def init_particles(config: ValidatedConfig,
+                   rngs: Sequence[RngStream]) -> ParticleSet:
+    """Uniform particles over the max_bands_per_user-subsets of all bands,
+    equal weights; agent i draws from ``rngs[i]``."""
+    shape = (config.n_particles, config.n_bands)
+    keys = np.stack([rng.generator().random(shape) for rng in rngs])
+    return ParticleSet(selections=_top_k(keys, config.max_bands_per_user),
+                       weights=np.full((len(rngs), config.n_particles),
+                                       1.0 / config.n_particles),
                        max_bands=config.max_bands_per_user)
 
 
 def predict(pset: ParticleSet, availability: np.ndarray, mutation_prob: float,
-            rng: RngStream) -> ParticleSet:
-    """Propagate particles one slot.
+            rngs: Sequence[RngStream]) -> ParticleSet:
+    """Propagate every agent's particles one slot.
 
     Bands whose owner returned are dropped; each surviving band is dropped
     with the mutation probability; every particle is then refilled with
     uniform draws from the remaining available bands back to the feasible
-    size.  With mutation probability 1 this is a fresh uniform restart.
+    size min(max_bands, available bands).  With mutation probability 1 this
+    is a fresh uniform restart.  Agent i draws from ``rngs[i]``: first the
+    mutation draw, then the refill keys.
     """
     availability = np.asarray(availability, dtype=bool)
-    gen = rng.generator()
+    gens = [rng.generator() for rng in rngs]
+    shape = pset.selections.shape[1:]
     keep = pset.selections & availability
     if mutation_prob > 0.0:
-        keep &= gen.random(keep.shape) >= mutation_prob
+        keep &= np.stack([gen.random(shape) for gen in gens]) >= mutation_prob
     k = min(pset.max_bands, int(availability.sum()))
-    n_rows, m = keep.shape
     if k == 0:
-        pset.selections = np.zeros((n_rows, m), dtype=bool)
+        pset.selections = np.zeros_like(keep)
         return pset
-    keys = np.where(availability, gen.random((n_rows, m)), -1.0)
-    keys = np.where(keep, 2.0, keys)  # kept bands always survive the top-k cut
-    top = np.argpartition(-keys, k - 1, axis=1)[:, :k]
-    selections = np.zeros((n_rows, m), dtype=bool)
-    np.put_along_axis(selections, top, True, axis=1)
-    pset.selections = selections
+    keys = np.where(availability, np.stack([gen.random(shape) for gen in gens]), -1.0)
+    # Kept bands always survive the top-k cut.
+    pset.selections = _top_k(np.where(keep, 2.0, keys), k)
     return pset
 
 
-def decide(pset: ParticleSet, agent: int, view: NeighborView,
-           objective) -> DecideResult:
-    """Score every particle on the frozen view and transmit the best one.
+def decide(pset: ParticleSet, config: ValidatedConfig, gains_sq: np.ndarray,
+           power_w: np.ndarray, availability: np.ndarray,
+           thresholds: np.ndarray):
+    """Score every agent's particles and pick each agent's best one.
 
-    Each particle is evaluated as: this agent switches to the candidate
-    subset with a water-filled power split, everyone else repeats their
-    last broadcast selections and powers, channels follow the prediction.
-    Ties go to the lowest particle index.
+    Agent i evaluates a particle as: i switches to the candidate subset with
+    a water-filled power split, everyone else repeats the powers ``power_w``
+    broadcast last slot, and the channels are the predicted squared gains
+    ``gains_sq[rx, tx, band]``.  The candidate is scored by
+    ``config.objective``; ties go to the lowest particle index.
+
+    Returns ``(alloc, power, scores, self_rewards)``: the chosen (agents,
+    bands) selections and powers, and the (agents, particles) scores and
+    hypothetical own rewards (the latter feed the weight update once the
+    realized rewards arrive).
     """
-    objective = ObjectiveKind(objective)
+    objective = ObjectiveKind(config.objective)
     sel = pset.selections
-    avail = view.availability
-    noise = view.noise_band_w
-    i = agent
+    n, n_particles, m = sel.shape
+    noise = config.noise_band_w
+    bandwidth = config.bandwidth_hz
 
-    direct = view.diag_gains_sq[i]
-    own_prev = direct * view.power_w[i]
-    interf_own = np.maximum(view.rp_base[i] - own_prev, 0.0)
-    g_eff = direct / (interf_own + noise)
+    direct = np.einsum("iij->ij", gains_sq)
+    signal = direct * power_w                      # each receiver's own last signal
+    rest = np.einsum("ikj,kj->ij", gains_sq, power_w) - signal
+    g_eff = direct / (np.maximum(rest, 0.0) + noise)
     if pset.max_bands == 1:
         # One band per particle: the whole budget (up to the cap) goes there.
-        powers = sel * min(view.p_total_w, view.p_band_cap_w)
+        powers = sel * min(config.p_total_max_w, config.p_band_max_w)
     else:
-        powers = water_fill_batch(np.broadcast_to(g_eff, sel.shape), sel,
-                                  view.p_total_w, view.p_band_cap_w)
-    own_rate = shannon_rates(powers * g_eff, avail, view.bandwidth_hz)
-    own_reward = elastic_reward(own_rate, view.thresholds[i], view.beta)
+        powers = water_fill_batch(
+            np.broadcast_to(g_eff[:, None, :], sel.shape).reshape(-1, m),
+            sel.reshape(-1, m), config.p_total_max_w,
+            config.p_band_max_w).reshape(sel.shape)
+    own_reward = elastic_reward(
+        shannon_rates(powers * g_eff[:, None, :], availability, bandwidth),
+        thresholds[:, None], config.beta)
 
     if objective is ObjectiveKind.INTRINSIC:
         scores = own_reward
     else:
-        signal = view.diag_gains_sq * view.power_w
-        from_agent = view.gains_sq[:, i, :]                       # (n, m)
-        base = view.rp_base - signal - from_agent * view.power_w[i]
-        interf = np.maximum(base[None] + from_agent[None] * powers[:, None, :], 0.0)
-        rates = shannon_rates(signal[None] / (interf + noise), avail,
-                              view.bandwidth_hz)
-        rewards = elastic_reward(rates, view.thresholds, view.beta)
-        rewards[:, i] = own_reward
-        scores = evaluate_batch(objective, rewards, i)
+        # [agent i, receiver k, band]: what k hears from everyone but itself
+        # and i, and i's gain towards k.
+        from_agent = gains_sq.transpose(1, 0, 2)
+        base = rest[None] - from_agent * power_w[:, None, :]
+        agents = np.arange(n)
+        scores = np.empty((n, n_particles))
+        for p in range(n_particles):
+            interf = np.maximum(base + from_agent * powers[:, p, None, :], 0.0)
+            rates = shannon_rates(signal / (interf + noise), availability, bandwidth)
+            rewards = elastic_reward(rates, thresholds, config.beta)
+            rewards[agents, agents] = own_reward[:, p]
+            scores[:, p] = evaluate_batch(objective, rewards)
 
-    best = int(np.argmax(scores))
-    return DecideResult(selection=sel[best].copy(), power_w=powers[best].copy(),
-                        scores=scores, self_rewards=own_reward)
+    best = np.argmax(scores, axis=1)
+    rows = np.arange(n)
+    return sel[rows, best], powers[rows, best], scores, own_reward
 
 
-def update_weights(pset: ParticleSet, observed_reward: float,
-                   predicted_rewards: np.ndarray, sigma_r: float) -> ParticleSet:
-    """Bayes step: scale weights by a Gaussian likelihood of the reward
-    residual, then renormalize.  A fully underflowed population resets to
-    uniform rather than dividing by zero."""
-    if sigma_r <= 0.0:
-        raise ValueError("sigma_r must be > 0")
-    residual = observed_reward - np.asarray(predicted_rewards, dtype=float)
-    w = pset.weights * np.exp(-0.5 * (residual / sigma_r) ** 2)
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        w = np.full_like(pset.weights, 1.0 / pset.weights.size)
-    else:
-        w = w / total
-    pset.weights = w
+def update_weights(pset: ParticleSet, observed_rewards: np.ndarray,
+                   predicted_rewards: np.ndarray,
+                   sigma_r: np.ndarray) -> ParticleSet:
+    """Bayes step per agent: scale weights by a Gaussian likelihood of the
+    reward residual, then renormalize.  A fully underflowed row resets to
+    uniform rather than dividing by zero; a row with sigma_r = 0 (no reward
+    scale yet) keeps its weights."""
+    sigma_r = np.asarray(sigma_r, dtype=float)
+    if np.any(sigma_r < 0.0):
+        raise ValueError("sigma_r must be >= 0")
+    active = (sigma_r > 0.0)[:, None]
+    residual = (np.asarray(observed_rewards, dtype=float)[:, None]
+                - np.asarray(predicted_rewards, dtype=float))
+    scale = np.where(active, sigma_r[:, None], 1.0)
+    with np.errstate(over="ignore"):  # a residual beyond float range has likelihood 0
+        w = pset.weights * np.exp(-0.5 * (residual / scale) ** 2)
+    total = w.sum(axis=1, keepdims=True)
+    finite = np.isfinite(total) & (total > 0.0)
+    w = np.where(finite, w / np.where(finite, total, 1.0),
+                 1.0 / pset.weights.shape[1])
+    pset.weights = np.where(active, w, pset.weights)
     return pset
 
 
-def effective_sample_size(pset: ParticleSet) -> float:
-    """1 / sum(w^2): n_particles when uniform, 1 when degenerate."""
-    return float(1.0 / np.square(pset.weights).sum())
+def effective_sample_size(pset: ParticleSet) -> np.ndarray:
+    """Per agent 1 / sum(w^2): n_particles when uniform, 1 when degenerate."""
+    return 1.0 / np.square(pset.weights).sum(axis=1)
 
 
-def systematic_resample(pset: ParticleSet, rng: RngStream) -> ParticleSet:
-    """Low-variance resampling with a single uniform offset.
+def systematic_resample(pset: ParticleSet, agents: Sequence[int],
+                        rngs: Sequence[RngStream]) -> ParticleSet:
+    """Low-variance resampling of the listed agents' populations, agent
+    ``agents[j]`` with one uniform offset drawn from ``rngs[j]``.
 
     Offspring counts stay within one of each particle's expectation
-    n_particles * weight; weights reset to uniform.
+    n_particles * weight; the resampled rows' weights reset to uniform.
+    Other agents' rows are left as they are.
     """
-    n = pset.weights.size
-    u0 = rng.generator().random()
-    positions = (u0 + np.arange(n)) / n
-    cumulative = np.cumsum(pset.weights)
-    cumulative[-1] = 1.0  # guard round-off so the last position always lands
-    parents = np.searchsorted(cumulative, positions)
-    pset.selections = pset.selections[parents].copy()
-    pset.weights = np.full(n, 1.0 / n)
+    n_particles = pset.weights.shape[1]
+    u0 = np.array([rng.generator().random() for rng in rngs])
+    positions = (u0[:, None] + np.arange(n_particles)) / n_particles
+    cumulative = np.cumsum(pset.weights[agents], axis=1)
+    cumulative[:, -1] = 1.0  # guard round-off so the last position always lands
+    # First cumulative bin reaching each position (a row-wise searchsorted).
+    parents = (cumulative[:, None, :] < positions[:, :, None]).sum(axis=2)
+    # New arrays, so a caller holding the old population sees it unchanged.
+    selections = pset.selections.copy()
+    selections[agents] = np.take_along_axis(selections[agents],
+                                            parents[:, :, None], axis=1)
+    weights = pset.weights.copy()
+    weights[agents] = 1.0 / n_particles
+    pset.selections, pset.weights = selections, weights
     return pset

@@ -70,7 +70,6 @@ class ValidatedConfig:
     base: SystemConfig
     p_total_max_w: float
     p_band_max_w: float
-    noise_psd_w_hz: float
     noise_band_w: float
 
     def __getattr__(self, name: str):
@@ -142,13 +141,11 @@ def validate(config: SystemConfig) -> ValidatedConfig:
     if not _is_int(c.seed) or not 0 <= c.seed < 2**64:
         fail("seed must be an integer in [0, 2**64)")
 
-    noise_psd_w = dbm_to_watt(c.noise_psd_dbm_hz)
     return ValidatedConfig(
         base=c,
         p_total_max_w=dbm_to_watt(c.p_total_max_dbm),
         p_band_max_w=dbm_to_watt(c.p_band_max_dbm),
-        noise_psd_w_hz=noise_psd_w,
-        noise_band_w=noise_psd_w * c.bandwidth_hz,
+        noise_band_w=dbm_to_watt(c.noise_psd_dbm_hz) * c.bandwidth_hz,
     )
 
 

@@ -195,11 +195,11 @@ def test_property_suite():
 
     # weight simplex stays normalized through arbitrary updates
     gen = np.random.default_rng(41)
-    pset = ParticleSet(selections=np.eye(8, dtype=bool),
-                       weights=np.full(8, 1.0 / 8), max_bands=1)
+    pset = ParticleSet(selections=np.eye(8, dtype=bool)[None],
+                       weights=np.full((1, 8), 1.0 / 8), max_bands=1)
     drift = 0.0
     for _ in range(300):
-        update_weights(pset, float(gen.normal()), gen.normal(size=8), 0.4)
+        update_weights(pset, [float(gen.normal())], gen.normal(size=(1, 8)), [0.4])
         drift = max(drift, abs(pset.weights.sum() - 1.0))
         assert (pset.weights >= 0.0).all()
     results.append(("weight simplex", drift < 1e-9, f"max drift {drift:.1e}"))
@@ -209,10 +209,10 @@ def test_property_suite():
     totals = np.zeros(6)
     trials = 1500
     for t in range(trials):
-        ps = ParticleSet(selections=np.eye(6, dtype=bool),
-                         weights=weights.copy(), max_bands=1)
-        systematic_resample(ps, RngStream(t, (9, 7)))
-        totals += ps.selections.sum(axis=0)
+        ps = ParticleSet(selections=np.eye(6, dtype=bool)[None],
+                         weights=weights[None].copy(), max_bands=1)
+        systematic_resample(ps, [0], [RngStream(t, (9, 7))])
+        totals += ps.selections[0].sum(axis=0)
     bias = np.abs(totals / (trials * 6) - weights).max()
     results.append(("resample unbiasedness", bias < 0.02, f"max bias {bias:.4f}"))
 
@@ -308,9 +308,9 @@ def test_formula_spot_values():
     ok_elastic = math.isclose(elastic, 2000.0 * math.exp(-1.0), rel_tol=1e-6)
     jain = jain_index(np.array([1.0, 2.0, 3.0]))
     ok_jain = abs(jain - 6.0 / 7.0) <= 1e-12
-    pset = ParticleSet(selections=np.eye(3, dtype=bool),
-                       weights=np.array([0.5, 0.25, 0.25]), max_bands=1)
-    ess = effective_sample_size(pset)
+    pset = ParticleSet(selections=np.eye(3, dtype=bool)[None],
+                       weights=np.array([[0.5, 0.25, 0.25]]), max_bands=1)
+    ess = effective_sample_size(pset)[0]
     ok_ess = abs(ess - 8.0 / 3.0) <= 1e-12
     ok = ok_elastic and ok_jain and ok_ess
     report("formula spot values", ok,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,61 @@ def test_sweep_parallel_matches_serial(scenario, tmp_path):
           "--jobs", "2"])
     assert ((serial / "sweep.csv").read_bytes()
             == (parallel / "sweep.csv").read_bytes())
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and runs every cell inline, so no process is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr("dsapf.cli.ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+@pytest.mark.parametrize("jobs, values, want", [
+    ("64", "0.0,0.5", [2]),     # never more workers than cells
+    ("2", "0.0,0.25,0.5", [2]),
+    ("8", "0.5", []),           # one cell runs serially
+    ("1", "0.0,0.5", []),
+])
+def test_sweep_pool_is_sized_to_the_cells(scenario, tmp_path, recording_pool,
+                                          jobs, values, want):
+    code = main(["sweep", "--config", scenario, "--param", "pu_busy_prob",
+                 "--values", values, "--seeds", "0",
+                 "--out", str(tmp_path / "s"), "--jobs", jobs])
+    assert code == EXIT_OK
+    assert recording_pool.sizes == want
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(scenario, tmp_path, capsys,
+                                      recording_pool, jobs):
+    code = main(["sweep", "--config", scenario, "--param", "pu_busy_prob",
+                 "--values", "0.0,0.5", "--seeds", "0",
+                 "--out", str(tmp_path / "s"), "--jobs", jobs])
+    assert code == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    assert recording_pool.sizes == []
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweeping_the_seed_is_rejected(scenario, tmp_path, capsys):

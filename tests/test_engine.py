@@ -138,6 +138,21 @@ def test_slot_hook_sees_every_slot_in_order():
         assert bands == rec.per_user_selected_bands
 
 
+def test_slot_outputs_are_writeable():
+    # the engine hands out its per-slot arrays as plain arrays; none of them
+    # is frozen behind the caller's back, on any slot
+    cfg = make_config(n_users=4, n_slots=3)
+    snaps = []
+    _, records = run(cfg, slot_hook=snaps.append)
+    for rec in records:
+        assert rec.realized_rates.flags.writeable
+        assert rec.realized_rewards.flags.writeable
+    for snap in snaps:
+        assert snap.alloc.flags.writeable
+        assert snap.power_w.flags.writeable
+        assert snap.thresholds.flags.writeable
+
+
 def test_summary_aggregates_match_records():
     cfg = make_config(n_slots=15)
     summary, records = run(cfg)

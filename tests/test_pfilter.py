@@ -1,17 +1,18 @@
-"""Particle filter over band subsets: proposal, scoring, weighting, resampling."""
+"""Particle filters over band subsets, all agents at once: proposal, scoring,
+weighting, resampling."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dsapf.pfilter import (DecideResult, NeighborView, decide,
-                           effective_sample_size, init_particles, make_view,
-                           predict, systematic_resample, update_weights)
+from dsapf.pfilter import (ParticleSet, decide, effective_sample_size,
+                           init_particles, predict, systematic_resample,
+                           update_weights)
 from dsapf.objectives import evaluate
 from dsapf.phy import elastic_reward
 from dsapf.powerfill import WaterFillProblem, water_fill
-from dsapf.system import Domain, RngStream, SystemConfig, validate
+from dsapf.system import Domain, RngStream, SystemConfig, validate, watt_to_dbm
 
 
 def small_config(**kw):
@@ -25,49 +26,43 @@ def agent_stream(seed, agent=0):
     return RngStream(seed, (int(Domain.PARTICLE_INIT), agent))
 
 
+def agent_streams(seed, agents):
+    return [agent_stream(seed, a) for a in agents]
+
+
 # ---------------------------------------------------------------- init
 
 
 def test_init_sizes_weights_and_feasibility():
     cfg = small_config()
-    avail = np.array([True, False, True, True])
-    pset = init_particles(cfg, avail, agent_stream(cfg.seed))
-    assert pset.selections.shape == (8, 4)
+    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    assert pset.selections.shape == (3, 8, 4)
     assert pset.selections.dtype == bool
-    # every particle: exactly min(l, available) bands, all available
-    assert (pset.selections.sum(axis=1) == 2).all()
-    assert not pset.selections[:, 1].any()
+    # every particle of every agent: exactly l bands
+    assert (pset.selections.sum(axis=2) == 2).all()
+    assert pset.weights.shape == (3, 8)
     assert np.allclose(pset.weights, 1.0 / 8)
     assert pset.max_bands == 2
-
-
-def test_init_shrinks_to_available_bands():
-    cfg = small_config(max_bands_per_user=3)
-    avail = np.array([False, True, False, False])
-    pset = init_particles(cfg, avail, agent_stream(cfg.seed))
-    assert (pset.selections.sum(axis=1) == 1).all()
-    assert pset.selections[:, 1].all()
-
-    none = init_particles(cfg, np.zeros(4, bool), agent_stream(cfg.seed))
-    assert not none.selections.any()
+    assert pset.running_reward_mean is None
 
 
 def test_init_is_deterministic_per_stream():
     cfg = small_config()
-    avail = np.ones(4, bool)
-    a = init_particles(cfg, avail, agent_stream(cfg.seed))
-    b = init_particles(cfg, avail, agent_stream(cfg.seed))
+    a = init_particles(cfg, agent_streams(cfg.seed, [0, 1]))
+    b = init_particles(cfg, agent_streams(cfg.seed, [0, 1]))
     assert np.array_equal(a.selections, b.selections)
-    c = init_particles(cfg, avail, agent_stream(cfg.seed, agent=1))
-    assert not np.array_equal(a.selections, c.selections)
+    assert not np.array_equal(a.selections[0], a.selections[1])
+    # an agent's population depends on its own stream only
+    alone = init_particles(cfg, agent_streams(cfg.seed, [1]))
+    assert np.array_equal(alone.selections[0], a.selections[1])
 
 
 def test_init_subsets_are_uniform():
     # m=10, l=2: all 45 pairs should come up equally often
     cfg = validate(SystemConfig(n_users=2, n_bands=10, max_bands_per_user=2,
                                 n_particles=10_000, n_slots=1, seed=5))
-    pset = init_particles(cfg, np.ones(10, bool), agent_stream(cfg.seed))
-    pairs = [tuple(np.flatnonzero(row)) for row in pset.selections]
+    pset = init_particles(cfg, [agent_stream(cfg.seed)])
+    pairs = [tuple(np.flatnonzero(row)) for row in pset.selections[0]]
     counts = np.zeros((10, 10))
     for a, b in pairs:
         counts[a, b] += 1
@@ -83,19 +78,30 @@ def test_init_subsets_are_uniform():
 
 def test_predict_respects_availability_and_size():
     cfg = small_config()
-    rng = agent_stream(cfg.seed)
-    pset = init_particles(cfg, np.ones(4, bool), rng)
+    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
     avail = np.array([True, True, False, True])
-    predict(pset, avail, cfg.mutation_prob, RngStream(cfg.seed, (2, 0)))
-    assert (pset.selections.sum(axis=1) == 2).all()
-    assert not pset.selections[:, 2].any()
+    predict(pset, avail, cfg.mutation_prob,
+            [RngStream(cfg.seed, (2, a)) for a in range(3)])
+    assert (pset.selections.sum(axis=2) == 2).all()
+    assert not pset.selections[:, :, 2].any()
+
+
+def test_predict_shrinks_to_available_bands():
+    cfg = small_config(max_bands_per_user=3)
+    pset = init_particles(cfg, agent_streams(cfg.seed, range(2)))
+    avail = np.array([False, True, False, False])
+    predict(pset, avail, cfg.mutation_prob,
+            [RngStream(cfg.seed, (2, a)) for a in range(2)])
+    assert (pset.selections.sum(axis=2) == 1).all()
+    assert pset.selections[:, :, 1].all()
 
 
 def test_predict_zero_mutation_keeps_selections():
     cfg = small_config()
-    pset = init_particles(cfg, np.ones(4, bool), agent_stream(cfg.seed))
+    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
     before = pset.selections.copy()
-    predict(pset, np.ones(4, bool), 0.0, RngStream(cfg.seed, (3, 0)))
+    predict(pset, np.ones(4, bool), 0.0,
+            [RngStream(cfg.seed, (3, a)) for a in range(3)])
     assert np.array_equal(pset.selections, before)
 
 
@@ -103,121 +109,118 @@ def test_predict_full_mutation_forgets_history():
     # with mutation 1 the proposal is a fresh uniform restart: two different
     # populations fed the same stream must land on identical selections
     cfg = small_config()
-    a = init_particles(cfg, np.ones(4, bool), agent_stream(cfg.seed))
-    b = init_particles(cfg, np.ones(4, bool), agent_stream(cfg.seed, agent=1))
+    a = init_particles(cfg, [agent_stream(cfg.seed)])
+    b = init_particles(cfg, [agent_stream(cfg.seed, agent=1)])
     assert not np.array_equal(a.selections, b.selections)
-    predict(a, np.ones(4, bool), 1.0, RngStream(7, (4, 0)))
-    predict(b, np.ones(4, bool), 1.0, RngStream(7, (4, 0)))
+    predict(a, np.ones(4, bool), 1.0, [RngStream(7, (4, 0))])
+    predict(b, np.ones(4, bool), 1.0, [RngStream(7, (4, 0))])
     assert np.array_equal(a.selections, b.selections)
 
 
 def test_predict_empty_availability_idles():
     cfg = small_config()
-    pset = init_particles(cfg, np.ones(4, bool), agent_stream(cfg.seed))
-    predict(pset, np.zeros(4, bool), cfg.mutation_prob, RngStream(1, (4, 0)))
+    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    predict(pset, np.zeros(4, bool), cfg.mutation_prob,
+            [RngStream(1, (4, a)) for a in range(3)])
     assert not pset.selections.any()
+
+
+def test_predict_stacks_per_agent_streams():
+    # stepping agents together draws exactly what stepping each alone does
+    cfg = small_config(n_bands=6, max_bands_per_user=3)
+    avail = np.array([True, False, True, True, True, False])
+    together = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    predict(together, avail, 0.4, [RngStream(3, (8, a, 5)) for a in range(3)])
+    for a in range(3):
+        alone = init_particles(cfg, [agent_stream(cfg.seed, a)])
+        predict(alone, avail, 0.4, [RngStream(3, (8, a, 5))])
+        assert np.array_equal(alone.selections[0], together.selections[a])
 
 
 def test_predict_fuzz_always_feasible():
     cfg = small_config(n_bands=6, max_bands_per_user=3, n_particles=16)
     gen = np.random.default_rng(99)
-    pset = init_particles(cfg, np.ones(6, bool), agent_stream(cfg.seed))
+    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
     for step in range(1000):
         avail = gen.random(6) < 0.7
-        predict(pset, avail, 0.3, RngStream(17, (5, step)))
+        predict(pset, avail, 0.3, [RngStream(17, (5, a, step)) for a in range(3)])
         k = min(3, int(avail.sum()))
-        assert (pset.selections.sum(axis=1) == k).all()
-        assert not pset.selections[:, ~avail].any()
+        assert (pset.selections.sum(axis=2) == k).all()
+        assert not pset.selections[:, :, ~avail].any()
 
 
 # ---------------------------------------------------------------- decide
 
+P_TOTAL_W = 0.1
+P_CAP_W = 0.05
 
-def view_from(gains, alloc, power_w, *, thresholds=None, availability=None,
-              bandwidth=1e6, noise=1e-7, beta=1.0, p_total=0.1, cap=0.05):
-    gains = np.asarray(gains, complex)
-    n, _, m = gains.shape
-    alloc = np.asarray(alloc, bool)
-    power_w = np.asarray(power_w, float)
+
+def decide_config(n, m, max_bands, objective="sum", beta=1.0):
+    # 1 MHz bands at -100 dBm/Hz: noise 1e-7 W per band
+    return validate(SystemConfig(
+        n_users=n, n_bands=m, max_bands_per_user=max_bands, bandwidth_hz=1e6,
+        noise_psd_dbm_hz=-100.0, beta=beta,
+        p_total_max_dbm=watt_to_dbm(P_TOTAL_W),
+        p_band_max_dbm=watt_to_dbm(P_CAP_W), objective=objective))
+
+
+def pset_of(rows, max_bands):
+    """Every agent's particle rows; a 2-D matrix is one agent's."""
+    sel = np.asarray(rows, bool)
+    if sel.ndim == 2:
+        sel = sel[None]
+    n, p, _ = sel.shape
+    return ParticleSet(selections=sel, weights=np.full((n, p), 1.0 / p),
+                       max_bands=max_bands)
+
+
+def decide_on(pset, gains, power_w, objective="sum", thresholds=None,
+              availability=None):
+    gains_sq = np.abs(np.asarray(gains, complex)) ** 2
+    n, _, m = gains_sq.shape
+    cfg = decide_config(n, m, pset.max_bands, objective)
     if thresholds is None:
         thresholds = np.zeros(n)
     if availability is None:
         availability = np.ones(m, bool)
-    rates = np.zeros(n)
-    return make_view(alloc, power_w, rates, gains, availability,
-                     np.asarray(thresholds, float), bandwidth, noise, beta,
-                     p_total, cap)
-
-
-def pset_of(rows, max_bands):
-    from dsapf.pfilter import ParticleSet
-    sel = np.asarray(rows, bool)
-    n = sel.shape[0]
-    return ParticleSet(selections=sel, weights=np.full(n, 1.0 / n),
-                       max_bands=max_bands)
-
-
-def test_make_view_is_frozen():
-    gains = np.ones((2, 2, 3), complex)
-    view = view_from(gains, np.zeros((2, 3)), np.zeros((2, 3)))
-    for arr in (view.alloc, view.power_w, view.rewards, view.gains_sq,
-                view.diag_gains_sq, view.rp_base, view.availability,
-                view.thresholds):
-        assert not arr.flags.writeable
-    # received power under the broadcast powers: here everyone is silent
-    assert np.allclose(view.rp_base, 0.0)
-
-
-def test_make_view_received_power():
-    gains = np.zeros((2, 2, 1), complex)
-    gains[0, 0, 0] = 2.0   # |h|^2 = 4
-    gains[0, 1, 0] = 1.0
-    gains[1, 1, 0] = 1.0
-    power = np.array([[0.5], [0.25]])
-    alloc = power > 0
-    view = view_from(gains, alloc, power)
-    # rx0 hears its own tx (4 * 0.5) plus tx1 (1 * 0.25)
-    assert np.allclose(view.rp_base[0, 0], 2.25)
-    assert np.allclose(view.rp_base[1, 0], 0.25)
-    assert np.allclose(view.diag_gains_sq, [[4.0], [1.0]])
+    return decide(pset, cfg, gains_sq, np.asarray(power_w, float),
+                  availability, np.asarray(thresholds, float))
 
 
 def test_decide_single_user_takes_best_band():
     gains = np.zeros((1, 1, 3), complex)
     gains[0, 0] = [1.0, 3.0, 2.0]
-    view = view_from(gains, np.zeros((1, 3)), np.zeros((1, 3)))
     pset = pset_of(np.eye(3), max_bands=1)
-    out = decide(pset, 0, view, "intrinsic")
-    assert np.array_equal(out.selection, [False, True, False])
+    alloc, power, scores, _ = decide_on(pset, gains, np.zeros((1, 3)),
+                                        "intrinsic")
+    assert np.array_equal(alloc[0], [False, True, False])
     # single selected band gets the whole budget up to the cap
-    assert np.allclose(out.power_w, [0.0, 0.05, 0.0])
-    assert out.scores.shape == (3,)
-    assert np.argmax(out.scores) == 1
+    assert np.allclose(power[0], [0.0, 0.05, 0.0])
+    assert scores.shape == (1, 3)
+    assert np.argmax(scores[0]) == 1
 
 
 def test_decide_skips_unavailable_bands_in_rate():
     gains = np.zeros((1, 1, 2), complex)
     gains[0, 0] = [10.0, 1.0]
     avail = np.array([False, True])
-    view = view_from(gains, np.zeros((1, 2)), np.zeros((1, 2)),
-                     availability=avail)
     # a particle sitting on the busy band earns nothing
     pset = pset_of(np.eye(2), max_bands=1)
-    out = decide(pset, 0, view, "intrinsic")
-    assert out.scores[0] == 0.0
-    assert np.array_equal(out.selection, [False, True])
+    alloc, _, scores, _ = decide_on(pset, gains, np.zeros((1, 2)), "intrinsic",
+                                    availability=avail)
+    assert scores[0, 0] == 0.0
+    assert np.array_equal(alloc[0], [False, True])
 
 
 def test_decide_breaks_ties_to_first_particle():
     gains = np.zeros((1, 1, 3), complex)
     gains[0, 0] = [2.0, 2.0, 2.0]
-    view = view_from(gains, np.zeros((1, 3)), np.zeros((1, 3)))
     pset = pset_of([[False, False, True],
                     [False, True, False],
                     [True, False, False]], max_bands=1)
-    out = decide(pset, 0, view, "sum")
-    assert np.allclose(out.scores, out.scores[0])
-    assert np.array_equal(out.selection, [False, False, True])
+    alloc, _, scores, _ = decide_on(pset, gains, np.zeros((1, 3)), "sum")
+    assert np.allclose(scores, scores[0, 0])
+    assert np.array_equal(alloc[0], [False, False, True])
 
 
 def test_decide_avoids_strong_interferer():
@@ -227,48 +230,46 @@ def test_decide_avoids_strong_interferer():
     gains[1, 1] = [2.0, 2.0]
     gains[0, 1] = [3.0, 3.0]   # neighbor tx -> agent rx
     gains[1, 0] = [3.0, 3.0]
-    alloc = np.array([[False, False], [True, False]])
     power = np.array([[0.0, 0.0], [0.05, 0.0]])
-    view = view_from(gains, alloc, power)
-    pset = pset_of(np.eye(2), max_bands=1)
-    out = decide(pset, 0, view, "intrinsic")
-    assert np.array_equal(out.selection, [False, True])
+    pset = pset_of([np.eye(2), np.eye(2)], max_bands=1)
+    alloc, _, _, _ = decide_on(pset, gains, power, "intrinsic")
+    assert np.array_equal(alloc[0], [False, True])
 
 
-def loop_scores(pset, agent, view, objective):
-    """Plain-python re-derivation of decide()'s particle scores."""
-    n, _, m = view.gains_sq.shape
-    g = view.gains_sq
-    noise = view.noise_band_w
+def loop_scores(rows, max_bands, agent, gains_sq, power_w, availability,
+                thresholds, cfg, objective):
+    """Plain-python re-derivation of one agent's particle scores."""
+    n, _, m = gains_sq.shape
+    g = gains_sq
+    noise = cfg.noise_band_w
     scores, own_rewards = [], []
-    for row in pset.selections:
+    for row in rows:
         chosen = np.flatnonzero(row)
         interf = np.array([
-            sum(g[agent, k, j] * view.power_w[k, j] for k in range(n)
+            sum(g[agent, k, j] * power_w[k, j] for k in range(n)
                 if k != agent) for j in range(m)])
         g_eff = g[agent, agent] / (interf + noise)
         powers = np.zeros(m)
         if chosen.size:
-            if pset.max_bands == 1:
-                powers[chosen] = min(view.p_total_w, view.p_band_cap_w)
+            if max_bands == 1:
+                powers[chosen] = min(cfg.p_total_max_w, cfg.p_band_max_w)
             else:
                 sub = water_fill(WaterFillProblem(
-                    g_eff[chosen], view.p_total_w,
-                    np.full(chosen.size, view.p_band_cap_w)))
+                    g_eff[chosen], cfg.p_total_max_w,
+                    np.full(chosen.size, cfg.p_band_max_w)))
                 powers[chosen] = sub
         rewards = np.zeros(n)
         for k in range(n):
             rate = 0.0
             for j in range(m):
-                if not view.availability[j]:
+                if not availability[j]:
                     continue
-                p_of = {l: view.power_w[l, j] for l in range(n)}
+                p_of = {l: power_w[l, j] for l in range(n)}
                 p_of[agent] = powers[j]
                 sig = g[k, k, j] * p_of[k]
                 inter = sum(g[k, l, j] * p_of[l] for l in range(n) if l != k)
-                rate += view.bandwidth_hz * math.log2(1.0 + sig / (inter + noise))
-            rewards[k] = elastic_reward(rate, float(view.thresholds[k]),
-                                        view.beta)
+                rate += cfg.bandwidth_hz * math.log2(1.0 + sig / (inter + noise))
+            rewards[k] = elastic_reward(rate, float(thresholds[k]), cfg.beta)
         scores.append(evaluate(objective, rewards, self_index=agent))
         own_rewards.append(rewards[agent])
     return np.array(scores), np.array(own_rewards)
@@ -278,85 +279,105 @@ def loop_scores(pset, agent, view, objective):
                                        "proportional_fair"])
 @pytest.mark.parametrize("max_bands", [1, 2])
 def test_decide_matches_loop_reference(objective, max_bands):
+    # one call scores every agent of the population; band 2 is busy
     gen = np.random.default_rng(31)
-    n, m = 3, 3
+    n, m = 4, 3
     gains = (gen.normal(size=(n, n, m)) + 1j * gen.normal(size=(n, n, m)))
     gains *= gen.lognormal(sigma=1.0, size=(n, n, m))
+    gains_sq = np.abs(gains) ** 2
     alloc = gen.random((n, m)) < 0.5
     power = np.where(alloc, gen.uniform(0.0, 0.04, size=(n, m)), 0.0)
-    view = view_from(gains, alloc, power,
-                     thresholds=gen.uniform(0.0, 1e4, size=n),
-                     availability=np.array([True, True, False]))
+    thresholds = gen.uniform(0.0, 1e4, size=n)
+    avail = np.array([True, True, False])
     rows = [[True, False, False], [False, True, False], [False, False, True],
             [True, True, False], [False, True, True]]
-    rows = [r for r in rows if sum(r) <= max_bands]
-    pset = pset_of(rows, max_bands=max_bands)
+    rows = np.array([r for r in rows if sum(r) <= max_bands])
+    # each agent holds the same candidates in its own order
+    pset = pset_of([rows[gen.permutation(len(rows))] for _ in range(n)],
+                   max_bands=max_bands)
+    cfg = decide_config(n, m, max_bands, objective)
 
-    out = decide(pset, 1, view, objective)
-    want_scores, want_own = loop_scores(pset, 1, view, objective)
-    assert np.allclose(out.scores, want_scores, rtol=1e-9, atol=1e-6)
-    assert np.allclose(out.self_rewards, want_own, rtol=1e-9, atol=1e-6)
-    best = int(np.argmax(want_scores))
-    assert np.array_equal(out.selection, pset.selections[best])
+    chosen, chosen_power, scores, own = decide(pset, cfg, gains_sq, power,
+                                               avail, thresholds)
+    assert scores.shape == own.shape == (n, len(rows))
+    for agent in range(n):
+        want_scores, want_own = loop_scores(
+            pset.selections[agent], max_bands, agent, gains_sq, power, avail,
+            thresholds, cfg, objective)
+        assert np.allclose(scores[agent], want_scores, rtol=1e-9, atol=1e-6)
+        assert np.allclose(own[agent], want_own, rtol=1e-9, atol=1e-6)
+        best = int(np.argmax(want_scores))
+        assert np.array_equal(chosen[agent], pset.selections[agent, best])
+        assert not chosen_power[agent, ~chosen[agent]].any()
 
 
 def test_decide_result_is_a_copy():
     gains = np.zeros((1, 1, 2), complex)
     gains[0, 0] = [1.0, 2.0]
-    view = view_from(gains, np.zeros((1, 2)), np.zeros((1, 2)))
     pset = pset_of(np.eye(2), max_bands=1)
-    out = decide(pset, 0, view, "sum")
-    out.selection[:] = False
-    out.power_w[:] = 0.0
+    alloc, power, _, _ = decide_on(pset, gains, np.zeros((1, 2)), "sum")
+    alloc[:] = False
+    power[:] = 0.0
     assert pset.selections.any()
-    assert isinstance(out, DecideResult)
 
 
 # ---------------------------------------------------------------- weights
 
 
 def test_update_weights_gaussian_spot():
-    pset = pset_of(np.eye(2)[:, :2], max_bands=1)
+    pset = pset_of(np.eye(2), max_bands=1)
     sigma = 0.7
-    update_weights(pset, 2.0, np.array([2.0, 2.0 - sigma]), sigma)
-    assert np.allclose(pset.weights,
+    update_weights(pset, np.array([2.0]), np.array([[2.0, 2.0 - sigma]]),
+                   np.array([sigma]))
+    assert np.allclose(pset.weights[0],
                        [0.6224593312018546, 0.37754066879814546],
                        rtol=0, atol=1e-15)
     assert pset.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_update_weights_underflow_resets_uniform():
-    pset = pset_of(np.eye(3), max_bands=1)
-    update_weights(pset, 0.0, np.full(3, 1e12), 1.0)
-    assert np.allclose(pset.weights, 1.0 / 3)
+def test_update_weights_underflow_resets_only_its_row():
+    pset = pset_of([np.eye(3)] * 3, max_bands=1)
+    pset.weights[1] = [0.5, 0.3, 0.2]
+    sigma = 0.7
+    predicted = np.array([[1e12] * 3, [2.0, 2.0 - sigma, 2.0],
+                          [0.0, 0.0, 0.0]])
+    update_weights(pset, np.array([0.0, 2.0, 0.0]), predicted,
+                   np.full(3, sigma))
+    assert np.allclose(pset.weights[0], 1.0 / 3)
+    like = np.array([1.0, math.exp(-0.5), 1.0]) * [0.5, 0.3, 0.2]
+    assert np.allclose(pset.weights[1], like / like.sum(), rtol=1e-15)
+    assert np.allclose(pset.weights[2], 1.0 / 3)
 
 
-def test_update_weights_rejects_bad_sigma():
-    pset = pset_of(np.eye(2)[:, :2], max_bands=1)
+def test_update_weights_zero_sigma_keeps_row_and_rejects_negative():
+    pset = pset_of([np.eye(2)] * 2, max_bands=1)
+    pset.weights = np.array([[0.9, 0.1], [0.9, 0.1]])
+    update_weights(pset, np.array([1.0, 1.0]), np.array([[0.0, 1.0]] * 2),
+                   np.array([0.0, 0.5]))
+    assert np.array_equal(pset.weights[0], [0.9, 0.1])
+    assert pset.weights[1, 1] > 0.1
     with pytest.raises(ValueError):
-        update_weights(pset, 1.0, np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        update_weights(pset, 1.0, np.zeros(2), -1.0)
+        update_weights(pset, np.array([1.0, 1.0]), np.zeros((2, 2)),
+                       np.array([0.5, -1.0]))
 
 
 def test_weights_stay_on_simplex():
     gen = np.random.default_rng(13)
-    pset = pset_of(np.eye(6)[:, :4], max_bands=1)
+    pset = pset_of([np.eye(6)[:, :4]] * 5, max_bands=1)
     for _ in range(200):
-        update_weights(pset, float(gen.normal()), gen.normal(size=6), 0.5)
+        update_weights(pset, gen.normal(size=5), gen.normal(size=(5, 6)),
+                       np.full(5, 0.5))
         assert (pset.weights >= 0.0).all()
-        assert abs(pset.weights.sum() - 1.0) < 1e-9
+        assert np.abs(pset.weights.sum(axis=1) - 1.0).max() < 1e-9
 
 
 def test_effective_sample_size_spots():
-    pset = pset_of(np.eye(3), max_bands=1)
-    pset.weights = np.array([0.5, 0.25, 0.25])
-    assert effective_sample_size(pset) == pytest.approx(2.6666666666666665,
-                                                        abs=1e-12)
-    pset.weights = np.full(3, 1.0 / 3)
-    assert effective_sample_size(pset) == pytest.approx(3.0, abs=1e-12)
-    pset.weights = np.array([1.0, 0.0, 0.0])
-    assert effective_sample_size(pset) == pytest.approx(1.0, abs=1e-12)
+    pset = pset_of([np.eye(3)] * 3, max_bands=1)
+    pset.weights = np.array([[0.5, 0.25, 0.25],
+                             [1.0 / 3, 1.0 / 3, 1.0 / 3],
+                             [1.0, 0.0, 0.0]])
+    assert np.allclose(effective_sample_size(pset),
+                       [2.6666666666666665, 3.0, 1.0], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- resample
@@ -369,21 +390,19 @@ def test_systematic_resample_offspring_counts():
     sel[np.arange(10), np.arange(10) % 4] = True
     for seed in range(5):
         pset = pset_of(sel, max_bands=1)
-        pset.selections = sel.copy()
-        pset.weights = np.array([0.5, 0.3, 0.2] + [0.0] * 7)
-        systematic_resample(pset, RngStream(seed, (9, 0)))
-        parents = (pset.selections[:, None, :] == sel[None, :3, :]).all(-1)
+        pset.weights = np.array([[0.5, 0.3, 0.2] + [0.0] * 7])
+        systematic_resample(pset, [0], [RngStream(seed, (9, 0))])
+        parents = (pset.selections[0, :, None, :] == sel[None, :3, :]).all(-1)
         counts = parents.sum(axis=0)
         assert np.array_equal(counts, [5, 3, 2])
         assert np.allclose(pset.weights, 0.1)
 
 
 def test_systematic_resample_point_mass():
-    sel = np.eye(4, dtype=bool)
-    pset = pset_of(sel, max_bands=1)
-    pset.weights = np.array([0.0, 0.0, 1.0, 0.0])
-    systematic_resample(pset, RngStream(3, (9, 1)))
-    assert pset.selections[:, 2].all()
+    pset = pset_of(np.eye(4), max_bands=1)
+    pset.weights = np.array([[0.0, 0.0, 1.0, 0.0]])
+    systematic_resample(pset, [0], [RngStream(3, (9, 1))])
+    assert pset.selections[0, :, 2].all()
 
 
 def test_systematic_resample_is_unbiased():
@@ -393,16 +412,49 @@ def test_systematic_resample_is_unbiased():
     n_trials = 2000
     for t in range(n_trials):
         pset = pset_of(sel, max_bands=1)
-        pset.weights = weights.copy()
-        systematic_resample(pset, RngStream(t, (9, 2)))
-        totals += pset.selections.sum(axis=0)
+        pset.weights = weights[None].copy()
+        systematic_resample(pset, [0], [RngStream(t, (9, 2))])
+        totals += pset.selections[0].sum(axis=0)
     fractions = totals / (n_trials * 6)
     assert np.abs(fractions - weights).max() < 0.02
 
 
 def test_resample_preserves_feasibility():
     cfg = small_config()
-    pset = init_particles(cfg, np.ones(4, bool), agent_stream(cfg.seed))
-    pset.weights = np.array([0.7, 0.1, 0.1, 0.1] + [0.0] * 4)
-    systematic_resample(pset, RngStream(8, (9, 3)))
-    assert (pset.selections.sum(axis=1) == 2).all()
+    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    pset.weights[:] = [0.7, 0.1, 0.1, 0.1] + [0.0] * 4
+    systematic_resample(pset, [0, 1, 2],
+                        [RngStream(8, (9, 3, a)) for a in range(3)])
+    assert (pset.selections.sum(axis=2) == 2).all()
+
+
+def test_resample_leaves_other_agents_untouched():
+    cfg = small_config()
+    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    pset.weights[1] = [0.0, 0.0, 0.0, 1.0] + [0.0] * 4
+    pset.weights[2] = [0.3, 0.1, 0.1, 0.1] + [0.1] * 4
+    sel_before, w_before = pset.selections.copy(), pset.weights.copy()
+    held = pset.selections
+    systematic_resample(pset, [1], [RngStream(8, (9, 4, 1))])
+    for a in (0, 2):
+        assert np.array_equal(pset.selections[a], sel_before[a])
+        assert np.array_equal(pset.weights[a], w_before[a])
+    assert (pset.selections[1] == sel_before[1, 3]).all()
+    assert np.allclose(pset.weights[1], 1.0 / 8)
+    # the resampled population is a new array; the old one is unchanged
+    assert np.array_equal(held, sel_before)
+
+
+def test_resample_stacks_per_agent_streams():
+    # resampling agents together draws exactly what resampling each alone does
+    cfg = small_config()
+    gen = np.random.default_rng(4)
+    weights = gen.dirichlet(np.ones(8), size=3)
+    together = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    together.weights = weights.copy()
+    systematic_resample(together, [0, 2], [RngStream(8, (9, 5, a)) for a in (0, 2)])
+    for a in (0, 2):
+        alone = init_particles(cfg, [agent_stream(cfg.seed, a)])
+        alone.weights = weights[a][None].copy()
+        systematic_resample(alone, [0], [RngStream(8, (9, 5, a))])
+        assert np.array_equal(alone.selections[0], together.selections[a])
