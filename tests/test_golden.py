@@ -3,9 +3,10 @@
 Each scenario below is run through the engine and ``metrics_io.write_run``;
 the SHA-256 of the resulting ``slots.csv`` and ``summary.csv`` is pinned, as
 is the SHA-256 of the ``dsa-pf oracle-check`` stdout on a tiny scenario.
-Together the scenarios cover all four objectives, one, two and three bands
-per user, busy licensed owners, and rate thresholds on both sides of the
-realized rates.
+Together the scenarios cover all four objectives, one to four bands per
+user, a band axis of eight or more (where NumPy's pairwise summation
+regroups a band sum), busy licensed owners, and rate thresholds on both
+sides of the realized rates.
 
 A refactor that keeps the random-stream contract and the model must
 reproduce these fingerprints bit for bit.  Regenerate them only in a change
@@ -39,6 +40,10 @@ SCENARIOS = {
                             n_particles=8, n_slots=8,
                             objective="proportional_fair",
                             rate_threshold_range_bps=(1e6, 8e6), seed=14),
+    "pf-l4-m12-busy": dict(n_users=6, n_bands=12, max_bands_per_user=4,
+                           n_particles=6, n_slots=8,
+                           objective="proportional_fair", pu_busy_prob=0.1,
+                           seed=15),
 }
 
 # scenario -> (sha256 of slots.csv, sha256 of summary.csv)
@@ -51,6 +56,8 @@ GOLDEN = {
                        "05e7d4d083dbca6a84b264eea59ec672bb2fae2a00fe1da1572e72cd8aa5fa8c"),
     "pf-l2-demanding": ("59f2f378acb83997c53533d9a3ca6511a3541d3b8a0e0c2c353bb4578f328792",
                         "729f51d7db101a644b8f9ca93a0083a59e8d7747c766fea02ad5befaa4372a36"),
+    "pf-l4-m12-busy": ("6354f86e7434a985ca9dab458ab05ebc99b2b69723effd1dddb5bdbcabfe5fea",
+                       "bcf4f741aca4540cf0cb8335b1fc5cceddd812a0353cbc2535254411bd3d73f5"),
 }
 
 ORACLE_SCENARIO = ("n_users = 4\nn_bands = 3\nmax_bands_per_user = 2\n"
