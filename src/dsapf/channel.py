@@ -28,6 +28,8 @@ AREA_SIDE_FACTOR = 175.0
 # AR steps run after the stationary draw before slot 0 is observed.
 BURN_IN_STEPS = 50
 
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class ArCoefficients:
@@ -86,8 +88,17 @@ def mean_gain_matrix(config: ValidatedConfig, rng: RngStream) -> np.ndarray:
     return gain
 
 
-def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
-    return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+def _complex_normal(gen: np.random.Generator, scale: np.ndarray,
+                    shape: tuple) -> np.ndarray:
+    """``scale`` times CN(0, 1) draws of ``shape`` as float64 (re, im)
+    pairs on a trailing axis; all real parts are drawn before all imaginary
+    parts.  These real products are the ones complex arithmetic would
+    form, so viewing the pairs as complex gives its result bit for bit."""
+    out = np.empty(shape + (2,))
+    for part in range(2):
+        np.multiply(gen.standard_normal(shape), _INV_SQRT2, out=out[..., part])
+    out *= scale[..., None]
+    return out
 
 
 def init_channels(config: ValidatedConfig, rng: RngStream) -> ChannelTensor:
@@ -95,9 +106,9 @@ def init_channels(config: ValidatedConfig, rng: RngStream) -> ChannelTensor:
     coeffs = ar_coefficients(config.doppler_coherence_product)
     mean_gain = mean_gain_matrix(config, rng)
     shape = (config.n_users, config.n_users, config.n_bands)
-    scale = np.sqrt(mean_gain)[:, :, None]
     gen = derive_substream(rng, Domain.CHANNEL_INIT).generator()
-    tensor = ChannelTensor(current=scale * _complex_normal(gen, shape),
+    current = _complex_normal(gen, np.sqrt(mean_gain)[:, :, None], shape)
+    tensor = ChannelTensor(current=current.view(np.complex128)[..., 0],
                            mean_gain=mean_gain)
     for k in range(BURN_IN_STEPS):
         step_channels(tensor, coeffs, derive_substream(rng, (Domain.CHANNEL_BURNIN, k)))
@@ -106,13 +117,15 @@ def init_channels(config: ValidatedConfig, rng: RngStream) -> ChannelTensor:
 
 def step_channels(tensor: ChannelTensor, coeffs: ArCoefficients,
                   rng: RngStream) -> ChannelTensor:
-    """Advance every link one slot (in place); engine-exclusive."""
+    """Advance every link one slot (in place); engine-exclusive.  Runs in
+    real arithmetic on the (re, im) pairs of the complex state."""
     gen = rng.generator()
-    new = coeffs.a1 * tensor.current
+    shape = tensor.current.shape
+    new = coeffs.a1 * tensor.current.view(np.float64).reshape(shape + (2,))
     if coeffs.xi != 0.0:
-        new += (coeffs.xi * np.sqrt(tensor.mean_gain)[:, :, None]
-                * _complex_normal(gen, new.shape))
-    tensor.current = new
+        new += _complex_normal(gen, coeffs.xi * np.sqrt(tensor.mean_gain)[:, :, None],
+                               shape)
+    tensor.current = new.view(np.complex128)[..., 0]
     return tensor
 
 

@@ -59,8 +59,8 @@ class SlotSnapshot:
     """Engine internals exposed to an optional per-slot hook (used by the
     oracle comparison): realized squared gains, availability, the users'
     demand thresholds, and the simultaneous choices with their outcome.
-    The arrays are the engine's own, not copies: a hook that writes into
-    ``power_w`` or ``thresholds`` changes the rest of the run."""
+    Every array is the hook's own: writing into it changes neither the rest
+    of the run nor the slot records."""
 
     slot: int
     gains_sq: np.ndarray
@@ -150,8 +150,9 @@ def run(config: ValidatedConfig,
         if slot_hook is not None:
             slot_hook(SlotSnapshot(slot=t, gains_sq=gains_sq,
                                    availability=available.copy(), alloc=alloc,
-                                   power_w=power, rates=rates, rewards=rewards,
-                                   thresholds=thresholds))
+                                   power_w=power.copy(), rates=rates.copy(),
+                                   rewards=rewards.copy(),
+                                   thresholds=thresholds.copy()))
 
     summary = RunSummary(
         per_user_avg_throughput=float(np.mean([r.realized_rates.mean() for r in records])),

@@ -96,7 +96,10 @@ def decide(pset: ParticleSet, config: ValidatedConfig, gains_sq: np.ndarray,
     a water-filled power split, everyone else repeats the powers ``power_w``
     broadcast last slot, and the channels are the predicted squared gains
     ``gains_sq[rx, tx, band]``.  The candidate is scored by
-    ``config.objective``; ties go to the lowest particle index.
+    ``config.objective``; ties go to the lowest particle index.  Another
+    user's rate is computed only on the bands it transmits on in
+    ``power_w``: elsewhere its signal is 0, which adds exactly 0, so the
+    scores equal those of a sum over every band bit for bit.
 
     Returns ``(alloc, power, scores, self_rewards)``: the chosen (agents,
     bands) selections and powers, and the (agents, particles) scores and
@@ -128,17 +131,24 @@ def decide(pset: ParticleSet, config: ValidatedConfig, gains_sq: np.ndarray,
     if objective is ObjectiveKind.INTRINSIC:
         scores = own_reward
     else:
-        # [agent i, receiver k, band]: what k hears from everyone but itself
-        # and i, and i's gain towards k.
-        from_agent = gains_sq.transpose(1, 0, 2)
-        base = rest[None] - from_agent * power_w[:, None, :]
-        agents = np.arange(n)
+        # bands[k]: receiver k's transmitting bands, padded with silent ones
+        # to the widest receiver's count.
+        on = power_w != 0.0
+        bands = np.argsort(~on, axis=1, kind="stable")[:, :on.sum(axis=1).max()]
+        rx = np.arange(n)
+        # [agent i, receiver k, c] on band bands[k, c]: what k hears from
+        # everyone but itself and i, and i's gain towards k.
+        from_agent = gains_sq[rx[None, :, None], rx[:, None, None], bands[None]]
+        base = (np.take_along_axis(rest, bands, axis=1)[None]
+                - from_agent * power_w[:, bands])
+        heard = np.take_along_axis(signal, bands, axis=1)
         scores = np.empty((n, n_particles))
         for p in range(n_particles):
-            interf = np.maximum(base + from_agent * powers[:, p, None, :], 0.0)
-            rates = shannon_rates(signal / (interf + noise), availability, bandwidth)
+            interf = np.maximum(base + from_agent * powers[:, p][:, bands], 0.0)
+            rates = shannon_rates(heard / (interf + noise), availability,
+                                  bandwidth, bands=bands[None])
             rewards = elastic_reward(rates, thresholds, config.beta)
-            rewards[agents, agents] = own_reward[:, p]
+            rewards[rx, rx] = own_reward[:, p]
             scores[:, p] = evaluate_batch(objective, rewards)
 
     best = np.argmax(scores, axis=1)

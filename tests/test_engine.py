@@ -153,6 +153,30 @@ def test_slot_outputs_are_writeable():
         assert snap.thresholds.flags.writeable
 
 
+def test_hook_writes_leave_the_run_unchanged():
+    # the snapshot arrays are the hook's own: zeroing every one of them on
+    # every slot changes neither the summary nor any slot record
+    cfg = make_config(n_users=4, n_bands=3, n_slots=5, seed=3,
+                      rate_threshold_range_bps=(1e5, 5e6))
+    arrays = ("gains_sq", "availability", "alloc", "power_w", "rates",
+              "rewards", "thresholds")
+
+    def vandal(snap):
+        for name in arrays:
+            getattr(snap, name)[...] = 0
+
+    clean_summary, clean = run(cfg)
+    summary, records = run(cfg, slot_hook=vandal)
+    assert summary == clean_summary
+    for rec, want in zip(records, clean, strict=True):
+        assert rec.realized_rates.tobytes() == want.realized_rates.tobytes()
+        assert rec.realized_rewards.tobytes() == want.realized_rewards.tobytes()
+        assert (rec.jain, rec.occupancy, rec.messages,
+                rec.per_user_selected_bands) == (
+                    want.jain, want.occupancy, want.messages,
+                    want.per_user_selected_bands)
+
+
 def test_summary_aggregates_match_records():
     cfg = make_config(n_slots=15)
     summary, records = run(cfg)

@@ -9,9 +9,9 @@ import pytest
 from dsapf.pfilter import (ParticleSet, decide, effective_sample_size,
                            init_particles, predict, systematic_resample,
                            update_weights)
-from dsapf.objectives import evaluate
-from dsapf.phy import elastic_reward
-from dsapf.powerfill import WaterFillProblem, water_fill
+from dsapf.objectives import ObjectiveKind, evaluate, evaluate_batch
+from dsapf.phy import elastic_reward, shannon_rates
+from dsapf.powerfill import WaterFillProblem, water_fill, water_fill_batch
 from dsapf.system import Domain, RngStream, SystemConfig, validate, watt_to_dbm
 
 
@@ -309,6 +309,86 @@ def test_decide_matches_loop_reference(objective, max_bands):
         best = int(np.argmax(want_scores))
         assert np.array_equal(chosen[agent], pset.selections[agent, best])
         assert not chosen_power[agent, ~chosen[agent]].any()
+
+
+def full_tensor_decide(pset, cfg, gains_sq, power_w, availability,
+                       thresholds):
+    """``decide`` scoring every receiver on every band, one (agents,
+    receivers, bands) tensor per particle."""
+    objective = ObjectiveKind(cfg.objective)
+    sel = pset.selections
+    n, n_particles, m = sel.shape
+    noise, bandwidth = cfg.noise_band_w, cfg.bandwidth_hz
+    direct = np.einsum("iij->ij", gains_sq)
+    signal = direct * power_w
+    rest = np.einsum("ikj,kj->ij", gains_sq, power_w) - signal
+    g_eff = direct / (np.maximum(rest, 0.0) + noise)
+    if pset.max_bands == 1:
+        powers = sel * min(cfg.p_total_max_w, cfg.p_band_max_w)
+    else:
+        powers = water_fill_batch(
+            np.broadcast_to(g_eff[:, None, :], sel.shape).reshape(-1, m),
+            sel.reshape(-1, m), cfg.p_total_max_w,
+            cfg.p_band_max_w).reshape(sel.shape)
+    own_reward = elastic_reward(
+        shannon_rates(powers * g_eff[:, None, :], availability, bandwidth),
+        thresholds[:, None], cfg.beta)
+    if objective is ObjectiveKind.INTRINSIC:
+        scores = own_reward
+    else:
+        from_agent = gains_sq.transpose(1, 0, 2)
+        base = rest[None] - from_agent * power_w[:, None, :]
+        agents = np.arange(n)
+        scores = np.empty((n, n_particles))
+        for p in range(n_particles):
+            interf = np.maximum(base + from_agent * powers[:, p, None, :], 0.0)
+            rates = shannon_rates(signal / (interf + noise), availability,
+                                  bandwidth)
+            rewards = elastic_reward(rates, thresholds, cfg.beta)
+            rewards[agents, agents] = own_reward[:, p]
+            scores[:, p] = evaluate_batch(objective, rewards)
+    best = np.argmax(scores, axis=1)
+    rows = np.arange(n)
+    return sel[rows, best], powers[rows, best], scores, own_reward
+
+
+# case -> (users, bands, max_bands, bands each receiver transmits on, busy bands)
+EXACT_CASES = {
+    "one-band-receivers": (5, 6, 1, [1, 1, 0, 1, 1], [2]),
+    "pairwise-sum-regrouping": (5, 12, 4, [3, 4, 5, 3, 8], []),
+    "wider-than-max-bands": (4, 9, 2, [7, 2, 1, 0], [0, 5]),
+    "slot-zero-silence": (4, 10, 3, [0, 0, 0, 0], []),
+    "busy-bands": (6, 8, 3, [3, 3, 2, 4, 1, 3], [1, 6]),
+    "one-user": (1, 9, 4, [5], [3]),
+}
+
+
+@pytest.mark.parametrize("objective", ["intrinsic", "sum", "maxmin",
+                                       "proportional_fair"])
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_decide_matches_full_tensor_bit_for_bit(case, objective):
+    n, m, max_bands, on_bands, busy = EXACT_CASES[case]
+    gen = np.random.default_rng(sorted(EXACT_CASES).index(case))
+    gains = gen.normal(size=(n, n, m)) + 1j * gen.normal(size=(n, n, m))
+    # gains spread over decades, so regrouping a band sum changes its rounding
+    gains_sq = np.abs(gains) ** 2 * 10.0 ** gen.uniform(-3.0, 1.0, size=(n, n, m))
+    power = np.zeros((n, m))
+    for k, count in enumerate(on_bands):
+        on = gen.choice(m, size=count, replace=False)
+        power[k, on] = gen.uniform(0.001, 0.05, size=count)
+    thresholds = gen.uniform(0.0, 4e6, size=n)
+    avail = np.ones(m, bool)
+    avail[busy] = False
+    keys = gen.random((n, 10, m))
+    sel = keys >= np.sort(keys, axis=2)[:, :, -max_bands, None]
+    pset = pset_of(sel, max_bands=max_bands)
+    cfg = decide_config(n, m, max_bands, objective)
+
+    got = decide(pset, cfg, gains_sq, power, avail, thresholds)
+    want = full_tensor_decide(pset, cfg, gains_sq, power, avail, thresholds)
+    for got_part, want_part in zip(got, want, strict=True):
+        assert got_part.shape == want_part.shape
+        assert np.array_equal(got_part, want_part)
 
 
 def test_decide_result_is_a_copy():
