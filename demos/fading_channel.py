@@ -8,7 +8,8 @@ import numpy as np
 
 from dsapf.channel import (ar_coefficients, init_channels, predict_channels,
                            step_channels)
-from dsapf.system import RngStream, SystemConfig, validate
+from dsapf.system import (Domain, RngStream, SystemConfig, derive_substream,
+                          validate)
 
 cfg = validate(SystemConfig(n_users=1, n_bands=200, max_bands_per_user=1,
                             n_particles=2, n_slots=1, seed=7))
@@ -16,14 +17,15 @@ coeffs = ar_coefficients(cfg.doppler_coherence_product)
 print(f"doppler-coherence product {cfg.doppler_coherence_product}"
       f" -> AR tap {coeffs.a1:.6f}, innovation scale {coeffs.xi:.6f}")
 
-tensor = init_channels(cfg, RngStream(cfg.seed))
+root = RngStream(cfg.seed)
+tensor = init_channels(cfg, root)
 steps = 4000
 trace = np.empty((steps, cfg.n_bands), dtype=complex)
 err = np.empty(steps)
 for t in range(steps):
     trace[t] = tensor.current[0, 0]
     predicted = predict_channels(tensor, coeffs)
-    step_channels(tensor, coeffs, RngStream(cfg.seed, (1, t)))
+    step_channels(tensor, coeffs, derive_substream(root, (Domain.CHANNEL_STEP, t)))
     err[t] = np.mean(np.abs(tensor.current - predicted) ** 2)
 
 x = trace.real

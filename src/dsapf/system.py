@@ -154,12 +154,15 @@ def validate(config: SystemConfig) -> ValidatedConfig:
 # ---------------------------------------------------------------------------
 
 class Domain(enum.IntEnum):
-    """Namespace tags keeping every draw site on its own substream."""
+    """Namespace tags keeping every draw site on its own substream.
+
+    Tag 4 is retired and stays unused, so that every other tag keeps its
+    value and its streams.
+    """
 
     GEOMETRY = 1
     THRESHOLDS = 2
     CHANNEL_INIT = 3
-    CHANNEL_BURNIN = 4
     CHANNEL_STEP = 5
     AVAILABILITY = 6
     PARTICLE_INIT = 7

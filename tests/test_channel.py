@@ -1,14 +1,20 @@
 """Fading dynamics: AR coefficients, geometry, stationarity, prediction."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dsapf.channel import (AREA_SIDE_FACTOR, ArCoefficients, ChannelTensor,
+import dsapf
+
+from dsapf.channel import (AREA_SIDE_FACTOR, ArCoefficients, ChannelTensor, _j0,
                            ar_coefficients, init_channels, mean_gain_matrix,
                            predict_channels, step_channels)
-from dsapf.system import RngStream, SystemConfig, derive_substream, validate
+from dsapf.system import Domain, RngStream, SystemConfig, derive_substream, validate
 
 
 def bessel_j0_series(x: float) -> float:
@@ -25,6 +31,38 @@ def test_ar_coefficient_matches_bessel_series():
     expected = bessel_j0_series(2.0 * math.pi * 0.05)
     assert coeffs.a1 == pytest.approx(expected, rel=1e-13)
     assert coeffs.a1 == pytest.approx(0.9754777740752495, rel=1e-14)
+
+
+def test_j0_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.concatenate([np.linspace(0.0, 60.0, 601), np.logspace(-8, 30, 77)])
+    with mpmath.workdps(40):
+        for x in grid:
+            exact = mpmath.besselj(0, mpmath.mpf(float(x)))
+            assert abs(mpmath.mpf(_j0(float(x))) - exact) <= 1e-15, x
+
+
+def test_j0_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    grid = np.concatenate([np.linspace(0.0, 100.0, 1001), np.logspace(-8, 4, 241)])
+    for x in grid:
+        assert _j0(float(x)) == pytest.approx(float(special.j0(x)), abs=1e-14), x
+
+
+def test_j0_at_zero_is_exactly_one():
+    # so that a doppler product of 0 freezes the channel
+    assert _j0(0.0) == 1.0
+
+
+def test_import_leaves_scipy_out():
+    # A fresh interpreter, pointed at the package these tests import.
+    src = str(Path(dsapf.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, dsapf, dsapf.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_ar_innovation_preserves_unit_power():
@@ -77,6 +115,19 @@ def test_init_channels_stationary_power():
     power = np.abs(tensor.current) ** 2
     ratio = power.mean(axis=2) / tensor.mean_gain
     assert np.allclose(ratio, 1.0, atol=0.05)
+
+
+def test_init_channels_is_the_stationary_draw():
+    # Slot 0 sees the CHANNEL_INIT draw itself, bit for bit: no AR step runs.
+    cfg = validate(SystemConfig(n_users=3, n_bands=5))
+    root = RngStream(4)
+    tensor = init_channels(cfg, root)
+    gen = derive_substream(root, Domain.CHANNEL_INIT).generator()
+    re = gen.standard_normal((3, 3, 5)) * (1.0 / math.sqrt(2.0))
+    im = gen.standard_normal((3, 3, 5)) * (1.0 / math.sqrt(2.0))
+    scale = np.sqrt(mean_gain_matrix(cfg, root))[:, :, None]
+    assert np.array_equal(tensor.current.real, re * scale)
+    assert np.array_equal(tensor.current.imag, im * scale)
 
 
 def test_init_channels_deterministic():

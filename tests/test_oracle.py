@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dsapf.oracle as oracle
+from dsapf.cli import main
 from dsapf.objectives import evaluate
 from dsapf.oracle import (InstanceTooLargeError, TinyInstance, band_alphabet,
                           solve_exhaustive)
@@ -244,3 +245,21 @@ def test_matches_loop_reference_two_band_users():
     want_alloc, want_score = loop_solve(inst, "sum")
     assert score == pytest.approx(want_score, rel=1e-9)
     assert np.array_equal(alloc, want_alloc)
+
+
+# ---------------------------------------------------------------- oracle-check
+
+
+def test_filters_can_beat_the_waterfill_oracle(tmp_path, capsys):
+    # The oracle optimises band choices under one fixed power rule, so it is
+    # a reference, not an upper bound: on this seeded scenario the filters'
+    # water-filling against the powers actually broadcast beats it on slot 1.
+    scenario = tmp_path / "tiny.scn"
+    scenario.write_text("n_users = 4\nn_bands = 3\nmax_bands_per_user = 2\n"
+                        "n_particles = 6\nobjective = sum\npu_busy_prob = 0.2\n"
+                        "rate_threshold_range_bps = 2e5, 2e6\nseed = 13\n")
+    assert main(["oracle-check", "--config", str(scenario), "--slots", "2"]) == 0
+    slots = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("slot=")]
+    assert slots[1].startswith("slot=1 ")
+    assert slots[1].endswith(" ratio=1.118502")
