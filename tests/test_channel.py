@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import dsapf
-
 from dsapf.channel import (AREA_SIDE_FACTOR, ArCoefficients, ChannelTensor, _j0,
                            ar_coefficients, init_channels, mean_gain_matrix,
                            predict_channels, step_channels)

@@ -186,8 +186,7 @@ def test_objective_error_lists_valid_names():
 
 def test_domain_tags_are_pinned():
     # The tag values are part of the reproducibility contract; reordering
-    # them would silently reseed every stream.  4 tagged the retired fading
-    # burn-in and stays unused.
+    # them would silently reseed every stream.  4 is retired and stays unused.
     expected = {"GEOMETRY": 1, "THRESHOLDS": 2, "CHANNEL_INIT": 3,
                 "CHANNEL_STEP": 5, "AVAILABILITY": 6,
                 "PARTICLE_INIT": 7, "PARTICLE_PREDICT": 8,
