@@ -20,7 +20,8 @@ import numpy as np
 
 from .system import Domain, RngStream, ValidatedConfig, derive_substream
 
-# Deployment square side, in units of the reference distance.  Chosen so the
+# Deployment square side, in units of the path-loss reference distance (the
+# distance within which the gain is clamped at 1).  Chosen so the
 # default scenario sits in the mixed noise/interference regime where both
 # power and band choices matter.
 AREA_SIDE_FACTOR = 175.0
@@ -92,19 +93,20 @@ class ChannelTensor:
 def mean_gain_matrix(config: ValidatedConfig, rng: RngStream) -> np.ndarray:
     """Average link power gains from random pair geometry.
 
-    Pairs are dropped uniformly in a square of side AREA_SIDE_FACTOR times
-    the reference distance; the gain of the link between pair k's transmitter
-    and pair i's receiver follows (d0 / max(d_ik, d0))**eta.  Direct links
+    Pairs are dropped uniformly in a square of side AREA_SIDE_FACTOR, in
+    units of the reference distance; the gain of the link between pair k's
+    transmitter and pair i's receiver follows (1 / max(d_ik, 1))**eta.  Only
+    the ratio of distance to reference distance enters the gain, so the
+    reference distance itself is not a parameter.  Direct links
     (the diagonal) are then set so their mean sits exactly
     ``direct_gain_advantage_db`` above the mean cross-link gain.
     """
     n = config.n_users
-    d0 = config.reference_distance_m
     gen = derive_substream(rng, Domain.GEOMETRY).generator()
-    points = gen.uniform(0.0, AREA_SIDE_FACTOR * d0, size=(n, 2))
+    points = gen.uniform(0.0, AREA_SIDE_FACTOR, size=(n, 2))
     delta = points[:, None, :] - points[None, :, :]
-    dist = np.maximum(np.hypot(delta[..., 0], delta[..., 1]), d0)
-    gain = (d0 / dist) ** config.path_loss_exponent
+    dist = np.maximum(np.hypot(delta[..., 0], delta[..., 1]), 1.0)
+    gain = (1.0 / dist) ** config.path_loss_exponent
     if n > 1:
         off_diag = gain[~np.eye(n, dtype=bool)]
         advantage = 10.0 ** (config.direct_gain_advantage_db / 10.0)

@@ -47,7 +47,6 @@ class SystemConfig:
     beta: float = 0.5               # reward decay below the rate threshold
     rate_threshold_range_bps: tuple[float, float] = (0.0, 1e4)  # per-user demand draw
     path_loss_exponent: float = 3.0
-    reference_distance_m: float = 1.0
     direct_gain_advantage_db: float = 3.0  # mean direct gain over mean cross gain
     doppler_coherence_product: float = 0.05  # doppler frequency x slot duration
     pu_busy_prob: float = 0.0       # per-band chance the licensed owner is active
@@ -77,7 +76,7 @@ class ValidatedConfig:
 
 
 # Levels in dB or dBm stay within +-MAX_LEVEL_DB and magnitudes (bandwidth,
-# distance, doppler product) within MAX_MAGNITUDE of their unit, so every
+# doppler product) within MAX_MAGNITUDE of their unit, so every
 # linear power, gain and bandwidth lies in [1e-30, 1e30] and no product of
 # them formed during a run can overflow or underflow float64.
 MAX_LEVEL_DB = 300.0
@@ -125,7 +124,6 @@ def validate(config: SystemConfig) -> ValidatedConfig:
         fail("rate_threshold_range_bps must satisfy 0 <= low <= high < inf")
     if not (c.path_loss_exponent > 0.0 and math.isfinite(c.path_loss_exponent)):
         fail("path_loss_exponent must be finite and > 0")
-    within("reference_distance_m", 1.0 / MAX_MAGNITUDE, MAX_MAGNITUDE)
     within("direct_gain_advantage_db", 0.0, MAX_LEVEL_DB)
     within("doppler_coherence_product", 0.0, MAX_MAGNITUDE)
     within("pu_busy_prob", 0.0, 1.0)

@@ -99,6 +99,7 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("ar_order = 2\n", "unknown key 'ar_order'"),
+    ("reference_distance_m = 2\n", "unknown key 'reference_distance_m'"),
     ("bandwidth_hz = inf\n", "bandwidth_hz"),
     ("beta = nan\n", "beta"),
     ("doppler_coherence_product = nan\n", "doppler_coherence_product"),

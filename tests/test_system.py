@@ -60,7 +60,7 @@ def test_validate_defaults_and_derived_units():
     (dict(rate_threshold_range_bps=(-1.0, 1.0)), "rate_threshold_range_bps"),
     (dict(rate_threshold_range_bps=(2.0, 1.0)), "rate_threshold_range_bps"),
     (dict(path_loss_exponent=0.0), "path_loss_exponent"),
-    (dict(reference_distance_m=0.0), "reference_distance_m"),
+    (dict(path_loss_exponent=float("nan")), "path_loss_exponent"),
     (dict(direct_gain_advantage_db=-1.0), "direct_gain_advantage_db"),
     (dict(direct_gain_advantage_db=float("nan")), "direct_gain_advantage_db"),
     (dict(doppler_coherence_product=-0.1), "doppler_coherence_product"),
@@ -80,8 +80,8 @@ def test_validate_defaults_and_derived_units():
     (dict(doppler_coherence_product=float("nan")), "doppler_coherence_product"),
     (dict(doppler_coherence_product=float("inf")), "doppler_coherence_product"),
     (dict(direct_gain_advantage_db=float("inf")), "direct_gain_advantage_db"),
-    (dict(reference_distance_m=float("nan")), "reference_distance_m"),
-    (dict(reference_distance_m=float("inf")), "reference_distance_m"),
+    (dict(pu_busy_prob=float("nan")), "pu_busy_prob"),
+    (dict(ess_threshold_frac=float("nan")), "ess_threshold_frac"),
     (dict(rate_threshold_range_bps=(float("nan"), float("nan"))),
      "rate_threshold_range_bps"),
     (dict(rate_threshold_range_bps=(0.0, float("inf"))), "rate_threshold_range_bps"),
@@ -169,7 +169,7 @@ def test_validate_boundary_values_accepted():
     # quietest corner: least power into the loudest noise over the widest band
     dict(p_total_max_dbm=-300.0, p_band_max_dbm=-300.0, noise_psd_dbm_hz=300.0,
          bandwidth_hz=1e30, path_loss_exponent=1e300, beta=1e308,
-         reference_distance_m=1e30, doppler_coherence_product=1e30),
+         doppler_coherence_product=1e30),
 ])
 def test_range_limits_are_accepted_and_run_finite(extremes):
     cfg = validate(SystemConfig(n_users=4, n_bands=3, max_bands_per_user=2,
