@@ -32,7 +32,8 @@ REWARD_EMA_WEIGHT = 0.1
 
 @dataclass(frozen=True)
 class SlotRecord:
-    """Realized outcome of one slot."""
+    """Realized outcome of one slot; ``alloc`` is the boolean (users, bands)
+    selection every user transmitted on."""
 
     slot: int
     realized_rates: np.ndarray
@@ -40,7 +41,7 @@ class SlotRecord:
     jain: float
     occupancy: float
     messages: int
-    per_user_selected_bands: list[tuple[int, ...]]
+    alloc: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -144,12 +145,11 @@ def run(config: ValidatedConfig,
         records.append(SlotRecord(
             slot=t, realized_rates=rates, realized_rewards=rewards,
             jain=jain_index(rewards), occupancy=occupancy(available),
-            messages=messages_per_slot,
-            per_user_selected_bands=[tuple(np.flatnonzero(row).tolist())
-                                     for row in alloc]))
+            messages=messages_per_slot, alloc=alloc))
         if slot_hook is not None:
             slot_hook(SlotSnapshot(slot=t, gains_sq=gains_sq,
-                                   availability=available.copy(), alloc=alloc,
+                                   availability=available.copy(),
+                                   alloc=alloc.copy(),
                                    power_w=power.copy(), rates=rates.copy(),
                                    rewards=rewards.copy(),
                                    thresholds=thresholds.copy()))

@@ -68,7 +68,7 @@ def test_all_bands_busy_yields_silence():
         assert not rec.realized_rewards.any()
         assert rec.jain == 1.0
         assert rec.occupancy == 1.0
-        assert rec.per_user_selected_bands == [()] * 5
+        assert np.array_equal(rec.alloc, np.zeros((5, cfg.n_bands), bool))
     assert summary.per_user_avg_throughput == 0.0
     assert summary.total_messages == 6 * 5 * 4
 
@@ -88,7 +88,7 @@ def test_reruns_are_bit_identical():
     for a, b in zip(r1, r2):
         assert np.array_equal(a.realized_rates, b.realized_rates)
         assert np.array_equal(a.realized_rewards, b.realized_rewards)
-        assert a.per_user_selected_bands == b.per_user_selected_bands
+        assert np.array_equal(a.alloc, b.alloc)
         assert a.jain == b.jain
 
 
@@ -134,8 +134,7 @@ def test_slot_hook_sees_every_slot_in_order():
         assert np.array_equal(snap.rewards,
                               elastic_reward(snap.rates, thresholds, cfg.beta))
         assert np.array_equal(snap.rates, rec.realized_rates)
-        bands = [tuple(np.flatnonzero(row).tolist()) for row in snap.alloc]
-        assert bands == rec.per_user_selected_bands
+        assert np.array_equal(snap.alloc, rec.alloc)
 
 
 def test_slot_outputs_are_writeable():
@@ -171,10 +170,9 @@ def test_hook_writes_leave_the_run_unchanged():
     for rec, want in zip(records, clean, strict=True):
         assert rec.realized_rates.tobytes() == want.realized_rates.tobytes()
         assert rec.realized_rewards.tobytes() == want.realized_rewards.tobytes()
-        assert (rec.jain, rec.occupancy, rec.messages,
-                rec.per_user_selected_bands) == (
-                    want.jain, want.occupancy, want.messages,
-                    want.per_user_selected_bands)
+        assert (rec.jain, rec.occupancy, rec.messages) == (
+            want.jain, want.occupancy, want.messages)
+        assert np.array_equal(rec.alloc, want.alloc)
 
 
 def test_summary_aggregates_match_records():
