@@ -14,7 +14,6 @@ from .oracle import InstanceTooLargeError, TinyInstance, solve_exhaustive
 from .pfilter import (ParticleSet, decide, effective_sample_size,
                       init_particles, predict, systematic_resample,
                       update_weights)
-from .powerfill import WaterFillProblem, water_fill
 from .system import (ConfigError, RngStream, SystemConfig, ValidatedConfig,
                      dbm_to_watt, derive_substream, validate, watt_to_dbm)
 
@@ -24,9 +23,9 @@ __all__ = [
     "ArCoefficients", "ChannelTensor", "ConfigError",
     "InstanceTooLargeError", "ObjectiveKind", "ParticleSet",
     "ReplicateResult", "RngStream", "RunSummary", "SlotRecord", "SystemConfig",
-    "TinyInstance", "ValidatedConfig", "WaterFillProblem",
+    "TinyInstance", "ValidatedConfig",
     "ar_coefficients", "dbm_to_watt", "decide", "derive_substream",
     "effective_sample_size", "evaluate", "init_particles", "jain_index",
     "predict", "replicate", "run", "solve_exhaustive", "systematic_resample",
-    "update_weights", "validate", "water_fill", "watt_to_dbm",
+    "update_weights", "validate", "watt_to_dbm",
 ]

@@ -19,8 +19,9 @@ from dsapf.oracle import TinyInstance, solve_exhaustive
 from dsapf.pfilter import (ParticleSet, effective_sample_size,
                            systematic_resample, update_weights)
 from dsapf.phy import draw_rate_thresholds, elastic_reward
-from dsapf.powerfill import WaterFillProblem, water_fill
 from dsapf.system import RngStream, SystemConfig, validate
+
+from reference import WaterFillProblem, water_fill
 
 TREND_SEEDS = range(5)
 _CACHE: dict = {}

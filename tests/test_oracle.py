@@ -12,7 +12,8 @@ from dsapf.objectives import evaluate
 from dsapf.oracle import (InstanceTooLargeError, TinyInstance, band_alphabet,
                           solve_exhaustive)
 from dsapf.phy import elastic_reward
-from dsapf.powerfill import WaterFillProblem, water_fill
+
+from reference import WaterFillProblem, water_fill
 
 
 def make_instance(gains_sq, *, availability=None, l=1, rule="uniform",

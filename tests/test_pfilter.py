@@ -11,8 +11,10 @@ from dsapf.pfilter import (ParticleSet, decide, effective_sample_size,
                            update_weights)
 from dsapf.objectives import ObjectiveKind, evaluate, evaluate_batch
 from dsapf.phy import elastic_reward, shannon_rates
-from dsapf.powerfill import WaterFillProblem, water_fill, water_fill_batch
+from dsapf.powerfill import water_fill_batch
 from dsapf.system import Domain, RngStream, SystemConfig, validate, watt_to_dbm
+
+from reference import WaterFillProblem, water_fill
 
 
 def small_config(**kw):

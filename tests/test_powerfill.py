@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from dsapf.powerfill import WaterFillProblem, water_fill, water_fill_batch
+from dsapf.powerfill import water_fill_batch
+
+from reference import WaterFillProblem, water_fill
 
 
 def solve(gains, p_total, caps):
