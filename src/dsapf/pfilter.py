@@ -96,7 +96,9 @@ def decide(pset: ParticleSet, config: ValidatedConfig, gains_sq: np.ndarray,
     a water-filled power split, everyone else repeats the powers ``power_w``
     broadcast last slot, and the channels are the predicted squared gains
     ``gains_sq[rx, tx, band]``.  The candidate is scored by
-    ``config.objective``; ties go to the lowest particle index.  Another
+    ``config.objective``; ties go to the lowest particle index.  A particle
+    holding a band whose licensed owner is busy neither transmits nor
+    spends power there.  Another
     user's rate is computed only on the bands it transmits on in
     ``power_w``: elsewhere its signal is 0, which adds exactly 0, so the
     scores equal those of a sum over every band bit for bit.
@@ -107,7 +109,7 @@ def decide(pset: ParticleSet, config: ValidatedConfig, gains_sq: np.ndarray,
     realized rewards arrive).
     """
     objective = ObjectiveKind(config.objective)
-    sel = pset.selections
+    sel = pset.selections & availability
     n, n_particles, m = sel.shape
     noise = config.noise_band_w
     bandwidth = config.bandwidth_hz

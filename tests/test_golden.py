@@ -84,10 +84,10 @@ DECIDE_SCENARIO = dict(n_users=12, n_bands=12, max_bands_per_user=4,
 DECIDE_BUSY_BAND = 5
 # objective -> sha256 of both calls' scores and own rewards
 DECIDE_GOLDEN = {
-    "intrinsic": "b0137b76a53c6889f58d56d7e1770e3982847f728c8742c66d9ed342d3472917",
-    "maxmin": "339ed08845ffb3e028b99cdaea1ab2ad53d99789e7747a18b3d6327683737662",
-    "proportional_fair": "71cd65aea67697e27139aaa66a23b7cda4fa741984d3929bfccc2386814ee4f0",
-    "sum": "99221585f3716c5d09b7f15bb1345c450ab49c6ab736d40cf62d4bc4d481da45",
+    "intrinsic": "cfe269259586999d7c9539fe5467f82e60512b496b2897e6f46add17606d2f15",
+    "maxmin": "89112935f8352c6638edd4fce747116191b8860f3318039dcf0636f913177898",
+    "proportional_fair": "3eadfec2b9517ca09f5853be5b192e8dc6496a58d81e5e16cce9f94145d5b3e5",
+    "sum": "e0e3fce8ba4138297a64918c964dd50570a632236d93984a0f8cad4f316e81f9",
 }
 
 

@@ -12,7 +12,8 @@ from dsapf.pfilter import (ParticleSet, decide, effective_sample_size,
 from dsapf.objectives import ObjectiveKind, evaluate, evaluate_batch
 from dsapf.phy import elastic_reward, shannon_rates
 from dsapf.powerfill import water_fill_batch
-from dsapf.system import Domain, RngStream, SystemConfig, validate, watt_to_dbm
+from dsapf.system import (Domain, RngStream, SystemConfig, validate,
+                          validate_allocation, validate_power, watt_to_dbm)
 
 from reference import WaterFillProblem, water_fill
 
@@ -214,6 +215,22 @@ def test_decide_skips_unavailable_bands_in_rate():
     assert np.array_equal(alloc[0], [False, True])
 
 
+def test_decide_spends_no_power_on_a_held_busy_band():
+    # both particles hold busy band 1, the strongest one; the power goes to
+    # their available bands and the chosen selection drops band 1
+    gains = np.zeros((1, 1, 3), complex)
+    gains[0, 0] = [1.0, 10.0, 2.0]
+    avail = np.array([True, False, True])
+    pset = pset_of([[True, True, False], [False, True, True]], max_bands=2)
+    alloc, power, _, _ = decide_on(pset, gains, np.zeros((1, 3)), "sum",
+                                   availability=avail)
+    assert power[0, 1] == 0.0
+    assert np.array_equal(alloc[0], [False, False, True])
+    assert power[0, 2] == pytest.approx(P_CAP_W, rel=1e-12)
+    validate_allocation(alloc, avail, 2)
+    validate_power(power, alloc, P_TOTAL_W, P_CAP_W)
+
+
 def test_decide_breaks_ties_to_first_particle():
     gains = np.zeros((1, 1, 3), complex)
     gains[0, 0] = [2.0, 2.0, 2.0]
@@ -246,7 +263,7 @@ def loop_scores(rows, max_bands, agent, gains_sq, power_w, availability,
     noise = cfg.noise_band_w
     scores, own_rewards = [], []
     for row in rows:
-        chosen = np.flatnonzero(row)
+        chosen = np.flatnonzero(row & availability)
         interf = np.array([
             sum(g[agent, k, j] * power_w[k, j] for k in range(n)
                 if k != agent) for j in range(m)])
@@ -309,7 +326,8 @@ def test_decide_matches_loop_reference(objective, max_bands):
         assert np.allclose(scores[agent], want_scores, rtol=1e-9, atol=1e-6)
         assert np.allclose(own[agent], want_own, rtol=1e-9, atol=1e-6)
         best = int(np.argmax(want_scores))
-        assert np.array_equal(chosen[agent], pset.selections[agent, best])
+        assert np.array_equal(chosen[agent],
+                              pset.selections[agent, best] & avail)
         assert not chosen_power[agent, ~chosen[agent]].any()
 
 
@@ -318,7 +336,7 @@ def full_tensor_decide(pset, cfg, gains_sq, power_w, availability,
     """``decide`` scoring every receiver on every band, one (agents,
     receivers, bands) tensor per particle."""
     objective = ObjectiveKind(cfg.objective)
-    sel = pset.selections
+    sel = pset.selections & availability
     n, n_particles, m = sel.shape
     noise, bandwidth = cfg.noise_band_w, cfg.bandwidth_hz
     direct = np.einsum("iij->ij", gains_sq)
