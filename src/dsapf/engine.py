@@ -5,8 +5,8 @@ the powers broadcast last slot plus the channel prediction, advance the true
 channels, realize rates and rewards under the simultaneous choices, then let
 each agent reweight and resample its particles against its realized reward.
 All agents' filters step together as one batched call per stage.  Every
-random draw comes from a substream keyed by (domain, agent, slot), so a
-(seed, config) pair pins the whole trajectory bit for bit.
+random draw comes from a substream keyed by (domain, slot), shared by all
+agents, so a (seed, config) pair pins the whole trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ def run(config: ValidatedConfig,
     coeffs = ar_coefficients(cfg.doppler_coherence_product)
     channels = init_channels(cfg, root)
     thresholds = draw_rate_thresholds(cfg, root)
-    pset = init_particles(cfg, [derive_substream(root, (Domain.PARTICLE_INIT, i))
-                                for i in range(n)])
+    pset = init_particles(cfg, derive_substream(root, Domain.PARTICLE_INIT))
 
     power = np.zeros((n, m))
     messages_per_slot = n * (n - 1)
@@ -115,8 +114,7 @@ def run(config: ValidatedConfig,
             cfg.pu_busy_prob, m, derive_substream(root, (Domain.AVAILABILITY, t)))
         predicted_sq = np.abs(predict_channels(channels, coeffs)) ** 2
         predict(pset, available, cfg.mutation_prob,
-                [derive_substream(root, (Domain.PARTICLE_PREDICT, i, t))
-                 for i in range(n)])
+                derive_substream(root, (Domain.PARTICLE_PREDICT, t)))
         alloc, power, _, hypothetical = decide(pset, cfg, predicted_sq, power,
                                                available, thresholds)
 
@@ -139,8 +137,7 @@ def run(config: ValidatedConfig,
                              < cfg.ess_threshold_frac * cfg.n_particles)
         if low.size:
             systematic_resample(
-                pset, low, [derive_substream(root, (Domain.PARTICLE_RESAMPLE, i, t))
-                            for i in low])
+                pset, low, derive_substream(root, (Domain.PARTICLE_RESAMPLE, t)))
 
         records.append(SlotRecord(
             slot=t, realized_rates=rates, realized_rewards=rewards,

@@ -6,8 +6,8 @@ everyone broadcast last slot plus the predicted channels, transmits the best
 one (decision), and afterwards reweights the population by how well each
 candidate's predicted reward explains the reward actually measured
 (weighting), resampling when the weights degenerate.  All agents' filters
-live in one ``ParticleSet`` and every step acts on all of them at once; each
-agent still draws from its own random substream.
+live in one ``ParticleSet`` and every step acts on all of them at once,
+drawing for every agent from the one random substream the caller passes.
 """
 
 from __future__ import annotations
@@ -48,40 +48,40 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def init_particles(config: ValidatedConfig,
-                   rngs: Sequence[RngStream]) -> ParticleSet:
+def init_particles(config: ValidatedConfig, rng: RngStream) -> ParticleSet:
     """Uniform particles over the max_bands_per_user-subsets of all bands,
-    equal weights; agent i draws from ``rngs[i]``."""
-    shape = (config.n_particles, config.n_bands)
-    keys = np.stack([rng.generator().random(shape) for rng in rngs])
-    return ParticleSet(selections=_top_k(keys, config.max_bands_per_user),
-                       weights=np.full((len(rngs), config.n_particles),
-                                       1.0 / config.n_particles),
+    equal weights; one (agents, particles, bands) draw from ``rng`` supplies
+    every agent's keys."""
+    shape = (config.n_users, config.n_particles, config.n_bands)
+    return ParticleSet(selections=_top_k(rng.generator().random(shape),
+                                         config.max_bands_per_user),
+                       weights=np.full(shape[:2], 1.0 / config.n_particles),
                        max_bands=config.max_bands_per_user)
 
 
 def predict(pset: ParticleSet, availability: np.ndarray, mutation_prob: float,
-            rngs: Sequence[RngStream]) -> ParticleSet:
+            rng: RngStream) -> ParticleSet:
     """Propagate every agent's particles one slot.
 
     Bands whose owner returned are dropped; each surviving band is dropped
     with the mutation probability; every particle is then refilled with
     uniform draws from the remaining available bands back to the feasible
     size min(max_bands, available bands).  With mutation probability 1 this
-    is a fresh uniform restart.  Agent i draws from ``rngs[i]``: first the
-    mutation draw, then the refill keys.
+    is a fresh uniform restart.  ``rng`` supplies two (agents, particles,
+    bands) draws: first the mutation draw (only with a mutation probability
+    above 0), then the refill keys.
     """
     availability = np.asarray(availability, dtype=bool)
-    gens = [rng.generator() for rng in rngs]
-    shape = pset.selections.shape[1:]
+    gen = rng.generator()
+    shape = pset.selections.shape
     keep = pset.selections & availability
     if mutation_prob > 0.0:
-        keep &= np.stack([gen.random(shape) for gen in gens]) >= mutation_prob
+        keep &= gen.random(shape) >= mutation_prob
     k = min(pset.max_bands, int(availability.sum()))
     if k == 0:
         pset.selections = np.zeros_like(keep)
         return pset
-    keys = np.where(availability, np.stack([gen.random(shape) for gen in gens]), -1.0)
+    keys = np.where(availability, gen.random(shape), -1.0)
     # Kept bands always survive the top-k cut.
     pset.selections = _top_k(np.where(keep, 2.0, keys), k)
     return pset
@@ -188,16 +188,17 @@ def effective_sample_size(pset: ParticleSet) -> np.ndarray:
 
 
 def systematic_resample(pset: ParticleSet, agents: Sequence[int],
-                        rngs: Sequence[RngStream]) -> ParticleSet:
-    """Low-variance resampling of the listed agents' populations, agent
-    ``agents[j]`` with one uniform offset drawn from ``rngs[j]``.
+                        rng: RngStream) -> ParticleSet:
+    """Low-variance resampling of the listed agents' populations; one draw
+    of ``len(agents)`` uniforms from ``rng`` gives agent ``agents[j]`` its
+    offset ``j``.
 
     Offspring counts stay within one of each particle's expectation
     n_particles * weight; the resampled rows' weights reset to uniform.
     Other agents' rows are left as they are.
     """
     n_particles = pset.weights.shape[1]
-    u0 = np.array([rng.generator().random() for rng in rngs])
+    u0 = rng.generator().random(len(agents))
     positions = (u0[:, None] + np.arange(n_particles)) / n_particles
     cumulative = np.cumsum(pset.weights[agents], axis=1)
     cumulative[:, -1] = 1.0  # guard round-off so the last position always lands

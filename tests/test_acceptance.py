@@ -212,7 +212,7 @@ def test_property_suite():
     for t in range(trials):
         ps = ParticleSet(selections=np.eye(6, dtype=bool)[None],
                          weights=weights[None].copy(), max_bands=1)
-        systematic_resample(ps, [0], [RngStream(t, (9, 7))])
+        systematic_resample(ps, [0], RngStream(t, (9, 7)))
         totals += ps.selections[0].sum(axis=0)
     bias = np.abs(totals / (trials * 6) - weights).max()
     results.append(("resample unbiasedness", bias < 0.02, f"max bias {bias:.4f}"))

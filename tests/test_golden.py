@@ -55,23 +55,23 @@ SCENARIOS = {
 
 # scenario -> (sha256 of slots.csv, sha256 of summary.csv)
 GOLDEN = {
-    "intrinsic-l1": ("90ba7a4154e2b2245310f0b9f07dee43364078a70be292a14c52cca935e48268",
-                     "0d34802479c20900a14f9b4f861e803455507af038a1e1ced18c0dd72f2d2f3c"),
-    "sum-l2-busy": ("c1aeccc178f8e5abc9759d98bd6b859d65c375160d7c374e2d1385e8ed20d46f",
-                    "52ec16c323eace7eceabb4e9240cfafbd896e167b1b4df8386101f4f36f968fe"),
-    "maxmin-l3-busy": ("2436cd694c019cc83b2dc948c6b47e5ae061dea50dab6fbf26c03d2a2f9b3f3f",
-                       "450e171eb1430c7d607333f147354b2728dbda7995a0582198e6bfd74f73c71b"),
-    "pf-l2-demanding": ("bfbe6e37f5d47ac6f4456edffc2a28629dbffcdb9046ed4a161b8849914510fb",
-                        "9362ae29f1fa6fcf830f0948a8a91ad1ffb48775a7b39f4e59e28412902ebbcc"),
-    "pf-l4-m12-busy": ("ca0aadb5ceb77d8a7c34090293f56e761962883bbb491407ee08af52d023f6bd",
-                       "858e120b1d43537dfbd77db246aa996af8aa305a3c45ffcb0947e2a0fa5e2701"),
+    "intrinsic-l1": ("5f9e46fcca91eaaa1b31708a6e5436a25d64d750646fa345372bf6d32ccfeb7f",
+                     "9a2a7a0e21b604f1352af8ca564fdbc58969760538674e788951243f40d599e3"),
+    "sum-l2-busy": ("1caedc3d5c20ff5a60b3b9f795c036cce8b616c76dbf244056bda6ccb7a98ade",
+                    "05935f6886304c936df33f187c69360410ef1dc58e47f7624beb44f59cbb3372"),
+    "maxmin-l3-busy": ("a6b4c6e597e55d940a269a1b04bcabf14741ed76b0967042550a1d7f302d7a26",
+                       "3794d110a3bd1a2aa09431b8aac60b40faf4e73ae276db11d10f676d32cc0675"),
+    "pf-l2-demanding": ("3d579371102981cfe59de89ec4da73f2ffab484702aa2e32f33827c30a7a7bbe",
+                        "984327bcf37a7b2a1dbeb30c242ebd4dc67ae7be5de99466ed7d23a09f702d82"),
+    "pf-l4-m12-busy": ("6d7cf1d2992ba833f64c85904e65443c4ad9c7520e3394563c71ed4cbb4e3d8c",
+                       "fdb65b3d10320c4cbd6abdbb16656730262196ce3e2df48023ec33eb9a2c1851"),
 }
 
 ORACLE_SCENARIO = ("n_users = 4\nn_bands = 3\nmax_bands_per_user = 2\n"
                    "n_particles = 6\nobjective = sum\npu_busy_prob = 0.2\n"
                    "rate_threshold_range_bps = 2e5, 2e6\nseed = 5\n")
 ORACLE_SLOTS = 8
-ORACLE_GOLDEN = "8e0619dd2b51137ac98f9719e2380c531a98729332bac8f832f9ed09fd19ef5c"
+ORACLE_GOLDEN = "6079cc3c72978040cefeaed96e4d3a1ae3531524d55dbc48190ddeeacedf411b"
 
 # Two decide calls on seeded initial particles and channels: the first with
 # nobody transmitting, the second with the powers the first chose.  A budget
@@ -84,10 +84,10 @@ DECIDE_SCENARIO = dict(n_users=12, n_bands=12, max_bands_per_user=4,
 DECIDE_BUSY_BAND = 5
 # objective -> sha256 of both calls' scores and own rewards
 DECIDE_GOLDEN = {
-    "intrinsic": "cfe269259586999d7c9539fe5467f82e60512b496b2897e6f46add17606d2f15",
-    "maxmin": "89112935f8352c6638edd4fce747116191b8860f3318039dcf0636f913177898",
-    "proportional_fair": "3eadfec2b9517ca09f5853be5b192e8dc6496a58d81e5e16cce9f94145d5b3e5",
-    "sum": "e0e3fce8ba4138297a64918c964dd50570a632236d93984a0f8cad4f316e81f9",
+    "intrinsic": "0bfa35237ca232c0a1a3a307fddd4703909ca58a001d21e81f12e7d44976d61a",
+    "maxmin": "844fbdb41b5203a719f57098e2962b974ccb84142f63e4c48512b90767b1ad6c",
+    "proportional_fair": "cc0d67c7c9fe4ea93a038056773858a73f18d892b73a71f4b563630db04dab9d",
+    "sum": "d62089f451c8f473e1f821b62a3b0c45978f50e6e7786690671542ec1de03e4d",
 }
 
 
@@ -120,8 +120,7 @@ def test_decide_score_fingerprint(objective):
     root = RngStream(cfg.seed)
     gains_sq = np.abs(init_channels(cfg, root).current) ** 2
     thresholds = draw_rate_thresholds(cfg, root)
-    pset = init_particles(cfg, [derive_substream(root, (Domain.PARTICLE_INIT, i))
-                                for i in range(cfg.n_users)])
+    pset = init_particles(cfg, derive_substream(root, Domain.PARTICLE_INIT))
     availability = np.ones(cfg.n_bands, dtype=bool)
     availability[DECIDE_BUSY_BAND] = False
     digest = hashlib.sha256()

@@ -25,12 +25,8 @@ def small_config(**kw):
     return validate(SystemConfig(**base))
 
 
-def agent_stream(seed, agent=0):
-    return RngStream(seed, (int(Domain.PARTICLE_INIT), agent))
-
-
-def agent_streams(seed, agents):
-    return [agent_stream(seed, a) for a in agents]
+def init_stream(seed, *tags):
+    return RngStream(seed, (int(Domain.PARTICLE_INIT),) + tags)
 
 
 # ---------------------------------------------------------------- init
@@ -38,7 +34,7 @@ def agent_streams(seed, agents):
 
 def test_init_sizes_weights_and_feasibility():
     cfg = small_config()
-    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    pset = init_particles(cfg, init_stream(cfg.seed))
     assert pset.selections.shape == (3, 8, 4)
     assert pset.selections.dtype == bool
     # every particle of every agent: exactly l bands
@@ -51,20 +47,26 @@ def test_init_sizes_weights_and_feasibility():
 
 def test_init_is_deterministic_per_stream():
     cfg = small_config()
-    a = init_particles(cfg, agent_streams(cfg.seed, [0, 1]))
-    b = init_particles(cfg, agent_streams(cfg.seed, [0, 1]))
+    a = init_particles(cfg, init_stream(cfg.seed))
+    b = init_particles(cfg, init_stream(cfg.seed))
     assert np.array_equal(a.selections, b.selections)
     assert not np.array_equal(a.selections[0], a.selections[1])
-    # an agent's population depends on its own stream only
-    alone = init_particles(cfg, agent_streams(cfg.seed, [1]))
-    assert np.array_equal(alone.selections[0], a.selections[1])
+
+
+def test_init_draw_layout_is_pinned():
+    # one (agents, particles, bands) draw; each row keeps its l largest keys
+    cfg = small_config(n_users=4, n_bands=6, max_bands_per_user=3)
+    keys = init_stream(cfg.seed).generator().random((4, 8, 6))
+    want = keys >= np.sort(keys, axis=2)[:, :, -3, None]
+    pset = init_particles(cfg, init_stream(cfg.seed))
+    assert np.array_equal(pset.selections, want)
 
 
 def test_init_subsets_are_uniform():
     # m=10, l=2: all 45 pairs should come up equally often
     cfg = validate(SystemConfig(n_users=2, n_bands=10, max_bands_per_user=2,
                                 n_particles=10_000, n_slots=1, seed=5))
-    pset = init_particles(cfg, [agent_stream(cfg.seed)])
+    pset = init_particles(cfg, init_stream(cfg.seed))
     pairs = [tuple(np.flatnonzero(row)) for row in pset.selections[0]]
     counts = np.zeros((10, 10))
     for a, b in pairs:
@@ -81,30 +83,27 @@ def test_init_subsets_are_uniform():
 
 def test_predict_respects_availability_and_size():
     cfg = small_config()
-    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    pset = init_particles(cfg, init_stream(cfg.seed))
     avail = np.array([True, True, False, True])
-    predict(pset, avail, cfg.mutation_prob,
-            [RngStream(cfg.seed, (2, a)) for a in range(3)])
+    predict(pset, avail, cfg.mutation_prob, RngStream(cfg.seed, (2,)))
     assert (pset.selections.sum(axis=2) == 2).all()
     assert not pset.selections[:, :, 2].any()
 
 
 def test_predict_shrinks_to_available_bands():
-    cfg = small_config(max_bands_per_user=3)
-    pset = init_particles(cfg, agent_streams(cfg.seed, range(2)))
+    cfg = small_config(n_users=2, max_bands_per_user=3)
+    pset = init_particles(cfg, init_stream(cfg.seed))
     avail = np.array([False, True, False, False])
-    predict(pset, avail, cfg.mutation_prob,
-            [RngStream(cfg.seed, (2, a)) for a in range(2)])
+    predict(pset, avail, cfg.mutation_prob, RngStream(cfg.seed, (2,)))
     assert (pset.selections.sum(axis=2) == 1).all()
     assert pset.selections[:, :, 1].all()
 
 
 def test_predict_zero_mutation_keeps_selections():
     cfg = small_config()
-    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    pset = init_particles(cfg, init_stream(cfg.seed))
     before = pset.selections.copy()
-    predict(pset, np.ones(4, bool), 0.0,
-            [RngStream(cfg.seed, (3, a)) for a in range(3)])
+    predict(pset, np.ones(4, bool), 0.0, RngStream(cfg.seed, (3,)))
     assert np.array_equal(pset.selections, before)
 
 
@@ -112,41 +111,50 @@ def test_predict_full_mutation_forgets_history():
     # with mutation 1 the proposal is a fresh uniform restart: two different
     # populations fed the same stream must land on identical selections
     cfg = small_config()
-    a = init_particles(cfg, [agent_stream(cfg.seed)])
-    b = init_particles(cfg, [agent_stream(cfg.seed, agent=1)])
+    a = init_particles(cfg, init_stream(cfg.seed))
+    b = init_particles(cfg, init_stream(cfg.seed, 1))
     assert not np.array_equal(a.selections, b.selections)
-    predict(a, np.ones(4, bool), 1.0, [RngStream(7, (4, 0))])
-    predict(b, np.ones(4, bool), 1.0, [RngStream(7, (4, 0))])
+    predict(a, np.ones(4, bool), 1.0, RngStream(7, (4, 0)))
+    predict(b, np.ones(4, bool), 1.0, RngStream(7, (4, 0)))
     assert np.array_equal(a.selections, b.selections)
 
 
 def test_predict_empty_availability_idles():
     cfg = small_config()
-    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
-    predict(pset, np.zeros(4, bool), cfg.mutation_prob,
-            [RngStream(1, (4, a)) for a in range(3)])
+    pset = init_particles(cfg, init_stream(cfg.seed))
+    predict(pset, np.zeros(4, bool), cfg.mutation_prob, RngStream(1, (4,)))
     assert not pset.selections.any()
 
 
-def test_predict_stacks_per_agent_streams():
-    # stepping agents together draws exactly what stepping each alone does
+@pytest.mark.parametrize("mutation_prob", [0.0, 0.4])
+def test_predict_draw_layout_is_pinned(mutation_prob):
+    # one stream for every agent: the (agents, particles, bands) mutation
+    # draw, made only when the probability is above 0, then the refill keys
     cfg = small_config(n_bands=6, max_bands_per_user=3)
     avail = np.array([True, False, True, True, True, False])
-    together = init_particles(cfg, agent_streams(cfg.seed, range(3)))
-    predict(together, avail, 0.4, [RngStream(3, (8, a, 5)) for a in range(3)])
-    for a in range(3):
-        alone = init_particles(cfg, [agent_stream(cfg.seed, a)])
-        predict(alone, avail, 0.4, [RngStream(3, (8, a, 5))])
-        assert np.array_equal(alone.selections[0], together.selections[a])
+    pset = init_particles(cfg, init_stream(cfg.seed))
+    before = pset.selections.copy()
+    stream = RngStream(3, (8, 5))
+    gen = stream.generator()
+    keep = before & avail
+    if mutation_prob > 0.0:
+        keep &= gen.random(before.shape) >= mutation_prob
+    keys = gen.random(before.shape)
+    predict(pset, avail, mutation_prob, stream)
+    for a, p in np.ndindex(before.shape[:2]):
+        kept = np.flatnonzero(keep[a, p])
+        fresh = [j for j in np.argsort(-keys[a, p]) if avail[j] and not keep[a, p, j]]
+        assert set(np.flatnonzero(pset.selections[a, p])) == (
+            set(kept) | set(fresh[:3 - kept.size]))
 
 
 def test_predict_fuzz_always_feasible():
     cfg = small_config(n_bands=6, max_bands_per_user=3, n_particles=16)
     gen = np.random.default_rng(99)
-    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    pset = init_particles(cfg, init_stream(cfg.seed))
     for step in range(1000):
         avail = gen.random(6) < 0.7
-        predict(pset, avail, 0.3, [RngStream(17, (5, a, step)) for a in range(3)])
+        predict(pset, avail, 0.3, RngStream(17, (5, step)))
         k = min(3, int(avail.sum()))
         assert (pset.selections.sum(axis=2) == k).all()
         assert not pset.selections[:, :, ~avail].any()
@@ -491,7 +499,7 @@ def test_systematic_resample_offspring_counts():
     for seed in range(5):
         pset = pset_of(sel, max_bands=1)
         pset.weights = np.array([[0.5, 0.3, 0.2] + [0.0] * 7])
-        systematic_resample(pset, [0], [RngStream(seed, (9, 0))])
+        systematic_resample(pset, [0], RngStream(seed, (9, 0)))
         parents = (pset.selections[0, :, None, :] == sel[None, :3, :]).all(-1)
         counts = parents.sum(axis=0)
         assert np.array_equal(counts, [5, 3, 2])
@@ -501,7 +509,7 @@ def test_systematic_resample_offspring_counts():
 def test_systematic_resample_point_mass():
     pset = pset_of(np.eye(4), max_bands=1)
     pset.weights = np.array([[0.0, 0.0, 1.0, 0.0]])
-    systematic_resample(pset, [0], [RngStream(3, (9, 1))])
+    systematic_resample(pset, [0], RngStream(3, (9, 1)))
     assert pset.selections[0, :, 2].all()
 
 
@@ -513,7 +521,7 @@ def test_systematic_resample_is_unbiased():
     for t in range(n_trials):
         pset = pset_of(sel, max_bands=1)
         pset.weights = weights[None].copy()
-        systematic_resample(pset, [0], [RngStream(t, (9, 2))])
+        systematic_resample(pset, [0], RngStream(t, (9, 2)))
         totals += pset.selections[0].sum(axis=0)
     fractions = totals / (n_trials * 6)
     assert np.abs(fractions - weights).max() < 0.02
@@ -521,21 +529,20 @@ def test_systematic_resample_is_unbiased():
 
 def test_resample_preserves_feasibility():
     cfg = small_config()
-    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    pset = init_particles(cfg, init_stream(cfg.seed))
     pset.weights[:] = [0.7, 0.1, 0.1, 0.1] + [0.0] * 4
-    systematic_resample(pset, [0, 1, 2],
-                        [RngStream(8, (9, 3, a)) for a in range(3)])
+    systematic_resample(pset, [0, 1, 2], RngStream(8, (9, 3)))
     assert (pset.selections.sum(axis=2) == 2).all()
 
 
 def test_resample_leaves_other_agents_untouched():
     cfg = small_config()
-    pset = init_particles(cfg, agent_streams(cfg.seed, range(3)))
+    pset = init_particles(cfg, init_stream(cfg.seed))
     pset.weights[1] = [0.0, 0.0, 0.0, 1.0] + [0.0] * 4
     pset.weights[2] = [0.3, 0.1, 0.1, 0.1] + [0.1] * 4
     sel_before, w_before = pset.selections.copy(), pset.weights.copy()
     held = pset.selections
-    systematic_resample(pset, [1], [RngStream(8, (9, 4, 1))])
+    systematic_resample(pset, [1], RngStream(8, (9, 4)))
     for a in (0, 2):
         assert np.array_equal(pset.selections[a], sel_before[a])
         assert np.array_equal(pset.weights[a], w_before[a])
@@ -545,16 +552,20 @@ def test_resample_leaves_other_agents_untouched():
     assert np.array_equal(held, sel_before)
 
 
-def test_resample_stacks_per_agent_streams():
-    # resampling agents together draws exactly what resampling each alone does
+def test_resample_draw_layout_is_pinned():
+    # one draw of len(agents) offsets from the one stream, in list order
     cfg = small_config()
     gen = np.random.default_rng(4)
     weights = gen.dirichlet(np.ones(8), size=3)
-    together = init_particles(cfg, agent_streams(cfg.seed, range(3)))
-    together.weights = weights.copy()
-    systematic_resample(together, [0, 2], [RngStream(8, (9, 5, a)) for a in (0, 2)])
-    for a in (0, 2):
-        alone = init_particles(cfg, [agent_stream(cfg.seed, a)])
-        alone.weights = weights[a][None].copy()
-        systematic_resample(alone, [0], [RngStream(8, (9, 5, a))])
-        assert np.array_equal(alone.selections[0], together.selections[a])
+    pset = init_particles(cfg, init_stream(cfg.seed))
+    before = pset.selections.copy()
+    pset.weights = weights.copy()
+    stream = RngStream(8, (9, 5))
+    offsets = stream.generator().random(2)
+    systematic_resample(pset, [2, 0], stream)
+    for a, u0 in zip([2, 0], offsets):
+        cumulative = np.cumsum(weights[a])
+        cumulative[-1] = 1.0
+        parents = np.searchsorted(cumulative, (u0 + np.arange(8)) / 8)
+        assert np.array_equal(pset.selections[a], before[a, parents])
+    assert np.array_equal(pset.selections[1], before[1])
