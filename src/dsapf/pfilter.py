@@ -98,10 +98,10 @@ def decide(pset: ParticleSet, config: ValidatedConfig, gains_sq: np.ndarray,
     ``gains_sq[rx, tx, band]``.  The candidate is scored by
     ``config.objective``; ties go to the lowest particle index.  A particle
     holding a band whose licensed owner is busy neither transmits nor
-    spends power there.  Another
-    user's rate is computed only on the bands it transmits on in
-    ``power_w``: elsewhere its signal is 0, which adds exactly 0, so the
-    scores equal those of a sum over every band bit for bit.
+    spends power there.  Another user's rate is computed only on the bands
+    it transmits on in ``power_w``: elsewhere its signal is 0, which adds
+    exactly 0, so the scores equal those of a sum over every band bit for
+    bit.
 
     Returns ``(alloc, power, scores, self_rewards)``: the chosen (agents,
     bands) selections and powers, and the (agents, particles) scores and
