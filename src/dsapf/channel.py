@@ -20,8 +20,7 @@ import numpy as np
 
 from .system import Domain, RngStream, ValidatedConfig, derive_substream
 
-# Deployment square side, in units of the path-loss reference distance (the
-# distance within which the gain is clamped at 1).  Chosen so the
+# Deployment square side, in units of the reference distance.  Chosen so the
 # default scenario sits in the mixed noise/interference regime where both
 # power and band choices matter.
 AREA_SIDE_FACTOR = 175.0
