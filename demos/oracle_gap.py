@@ -10,8 +10,7 @@ Run: python3 demos/oracle_gap.py
 from dsapf.engine import run
 from dsapf.objectives import evaluate
 from dsapf.oracle import TinyInstance, solve_exhaustive
-from dsapf.phy import draw_rate_thresholds
-from dsapf.system import RngStream, SystemConfig, validate
+from dsapf.system import SystemConfig, validate
 
 cfg = validate(SystemConfig(
     n_users=4, n_bands=3, max_bands_per_user=1, n_particles=10, n_slots=12,
@@ -19,13 +18,12 @@ cfg = validate(SystemConfig(
 
 snapshots = []
 run(cfg, slot_hook=snapshots.append)
-thresholds = draw_rate_thresholds(cfg, RngStream(cfg.seed))
 
 print("slot | achieved sum reward | exhaustive optimum | ratio")
 for snap in snapshots:
     inst = TinyInstance(
         gains_sq=snap.gains_sq, availability=snap.availability,
-        thresholds=thresholds, bandwidth_hz=cfg.bandwidth_hz,
+        thresholds=snap.thresholds, bandwidth_hz=cfg.bandwidth_hz,
         noise_band_w=cfg.noise_band_w, p_total_w=cfg.p_total_max_w,
         p_band_cap_w=cfg.p_band_max_w, max_bands_per_user=1, beta=cfg.beta,
         power_rule="waterfill")

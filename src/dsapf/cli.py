@@ -25,7 +25,8 @@ from dataclasses import fields, replace
 from .engine import run as run_engine
 from .metrics_io import summary_row, sweep_table, write_run, write_sweep
 from .objectives import evaluate
-from .oracle import InstanceTooLargeError, TinyInstance, solve_exhaustive
+from .oracle import (InstanceTooLargeError, TinyInstance, check_enumerable,
+                     solve_exhaustive)
 from .system import ConfigError, SystemConfig, validate
 
 EXIT_OK = 0
@@ -165,6 +166,7 @@ def cmd_oracle_check(args) -> int:
         config = replace(config, seed=args.seed)
     config = replace(config, n_slots=args.slots)
     vcfg = validate(config)
+    check_enumerable(config.n_users, config.n_bands, config.max_bands_per_user)
 
     objective = config.objective if config.objective != "intrinsic" else "sum"
     snapshots = []

@@ -5,6 +5,11 @@ subset of the feasible size) on a fixed channel snapshot and scores it under
 a chosen objective, with powers set by one fixed rule.  Useful only at toy
 scale; the result is the optimum over joint band choices under that power
 rule, not an upper bound on what the filters reach.
+
+Under the ``waterfill`` rule a user's powers depend only on its option and
+on which other users share its bands, so each distinct per-user water-fill
+is solved once per instance and gathered back to every joint assignment;
+the scores match water-filling each assignment afresh bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +29,16 @@ _CHUNK = 16384
 
 class InstanceTooLargeError(ValueError):
     """The joint assignment space is beyond exhaustive reach."""
+
+
+def check_enumerable(n_users: int, n_bands: int, max_bands_per_user: int) -> None:
+    """Refuse sizes beyond 6 users, 4 bands or 2 bands per user."""
+    if n_users > 6:
+        raise InstanceTooLargeError("at most 6 users are enumerable")
+    if n_bands > 4:
+        raise InstanceTooLargeError("at most 4 bands are enumerable")
+    if max_bands_per_user > 2:
+        raise InstanceTooLargeError("at most 2 bands per user are enumerable")
 
 
 @dataclass(frozen=True)
@@ -52,12 +67,7 @@ class TinyInstance:
         m = self.availability.size
         if self.gains_sq.shape[:2] != (n, n) or self.gains_sq.shape[2] != m:
             raise ValueError("gains_sq must be (n_users, n_users, n_bands)")
-        if n > 6:
-            raise InstanceTooLargeError("at most 6 users are enumerable")
-        if m > 4:
-            raise InstanceTooLargeError("at most 4 bands are enumerable")
-        if self.max_bands_per_user > 2:
-            raise InstanceTooLargeError("at most 2 bands per user are enumerable")
+        check_enumerable(n, m, self.max_bands_per_user)
         if self.power_rule not in ("uniform", "waterfill"):
             raise ValueError("power_rule must be 'uniform' or 'waterfill'")
 
@@ -73,23 +83,71 @@ def band_alphabet(availability: np.ndarray, max_bands_per_user: int) -> list[tup
     return options
 
 
-def _assignment_powers(inst: TinyInstance, alloc: np.ndarray) -> np.ndarray:
-    """Powers for a (batch, users, bands) allocation under the power rule."""
-    counts = alloc.sum(axis=2, keepdims=True)
-    per_band = np.where(counts > 0,
-                        np.minimum(inst.p_total_w / np.maximum(counts, 1),
-                                   inst.p_band_cap_w), 0.0)
-    uniform = per_band * alloc
-    if inst.power_rule == "uniform":
-        return uniform
+def _uniform_rows(inst: TinyInstance, table: np.ndarray) -> np.ndarray:
+    """Each option's powers under the uniform split of the budget."""
+    counts = table.sum(axis=1, keepdims=True)
+    per_band = np.minimum(inst.p_total_w / np.maximum(counts, 1), inst.p_band_cap_w)
+    return np.where(table, per_band, 0.0)
+
+
+def _waterfill_rows(inst: TinyInstance, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Water-fill each distinct per-user problem once.
+
+    Every non-idle option holds the same number k of bands, so every
+    transmitter puts the same uniform power on each of its bands, and a
+    user's water-fill reads only its own bands.  A user's powers thus depend
+    only on the user, its option, and which other users occupy each of its
+    bands: n * (options - 1) * 2**((n - 1) * k) problems.  Returns their
+    powers, row 0 being an idle user's, and for each joint assignment (in
+    lexicographic rank) and user the row that holds that user's powers.
+    """
+    n, _, m = inst.gains_sq.shape
+    n_options = table.shape[0]
+    k = int(table[-1].sum())
+    # Effective gains of every user on every band under each on/off
+    # pattern of the users, each transmitter at its uniform power.
+    on = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1 == 1
+    pattern_uniform = np.zeros((2 ** n, n, m))
+    pattern_uniform[on] = _uniform_rows(inst, table).max()
     diag = np.einsum("iij->ij", inst.gains_sq)
-    received = np.einsum("ikj,bkj->bij", inst.gains_sq, uniform)
-    interference = np.maximum(received - diag[None] * uniform, 0.0)
+    received = np.einsum("ikj,pkj->pij", inst.gains_sq, pattern_uniform)
+    interference = np.maximum(received - diag[None] * pattern_uniform, 0.0)
     g_eff = diag[None] / (interference + inst.noise_band_w)
-    b, n, m = alloc.shape
-    filled = water_fill_batch(g_eff.reshape(b * n, m), alloc.reshape(b * n, m),
+
+    # User i's problems on option o fill one block of rows, numbered by
+    # sum_j place[o, j] * q_j, where q_j is the (n - 1)-bit pattern of the
+    # other users on its band j.
+    size = 2 ** (n - 1)
+    block = size ** k
+    place = np.zeros((n_options, m), dtype=np.int64)
+    gains = np.zeros((n, n_options - 1, block, m))
+    q = np.arange(size)
+    occupancy = np.indices((size,) * k).reshape(k, block)  # q_j of each row
+    for o in range(1, n_options):
+        bands = np.flatnonzero(table[o])
+        place[o, bands] = size ** np.arange(k - 1, -1, -1)
+        for i in range(n):
+            # The on/off pattern of user i together with the others q.
+            full = (q & ((1 << i) - 1)) | (1 << i) | ((q >> i) << (i + 1))
+            gains[i, o - 1][:, bands] = g_eff[full[occupancy], i, bands[:, None]].T
+    active = np.broadcast_to(table[None, 1:, None, :], gains.shape)
+    filled = water_fill_batch(gains.reshape(-1, m), active.reshape(-1, m),
                               inst.p_total_w, inst.p_band_cap_w)
-    return filled.reshape(b, n, m)
+    rows = np.concatenate([np.zeros((1, m)), filled])
+
+    # option[u] holds user u's option along axis u of the grid of joint
+    # assignments.  User i's row is the start of its block plus, for each
+    # other user, that user's bit in q_j times shared[o_i, o_other].
+    shared = place @ table.T
+    option = np.ix_(*[np.arange(n_options)] * n)
+    row_of = np.empty((n_options ** n, n), dtype=np.int64)
+    for i in range(n):
+        row = np.where(option[i] > 0, 1 + (i * (n_options - 1) + option[i] - 1) * block, 0)
+        for other in range(n):
+            if other != i:
+                row = row + (1 << (other - (other > i))) * shared[option[i], option[other]]
+        row_of[:, i] = np.broadcast_to(row, (n_options,) * n).ravel()
+    return rows, row_of
 
 
 def _assignment_rewards(inst: TinyInstance, alloc: np.ndarray,
@@ -124,6 +182,9 @@ def solve_exhaustive(inst: TinyInstance, objective) -> tuple[np.ndarray, float]:
         table[idx, list(bands)] = True
     # Digit weights make assignment index == lexicographic rank.
     weights = n_options ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    uniform = _uniform_rows(inst, table)
+    if inst.power_rule == "waterfill":
+        rows, row_of = _waterfill_rows(inst, table)
 
     best_score = -np.inf
     best_alloc = np.zeros((n, m), dtype=bool)
@@ -131,7 +192,10 @@ def solve_exhaustive(inst: TinyInstance, objective) -> tuple[np.ndarray, float]:
         indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = (indices[:, None] // weights[None, :]) % n_options
         alloc = table[digits]
-        power = _assignment_powers(inst, alloc)
+        if inst.power_rule == "uniform":
+            power = uniform[digits]
+        else:
+            power = rows[row_of[start:start + _CHUNK]]
         rewards = _assignment_rewards(inst, alloc, power)
         scores = evaluate_batch(kind, rewards)
         pick = int(np.argmax(scores))

@@ -1,9 +1,14 @@
-"""Scalar reference solvers the tests check the library against.
+"""Reference solvers the tests check the library against.
 
 ``water_fill`` solves one capped water-filling problem by bisection on the
 water level.  It shares no code with ``dsapf.powerfill.water_fill_batch``,
 which locates the level exactly between breakpoints, so agreement between
 the two is a cross-check of both.
+
+``solve_per_assignment`` is the exhaustive oracle that derives the powers
+of every joint assignment afresh, water-filling one row per user and
+assignment; ``dsapf.oracle.solve_exhaustive`` must return its allocation
+and score bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+import dsapf.oracle as oracle
+from dsapf.objectives import ObjectiveKind, evaluate_batch
+from dsapf.phy import elastic_reward, user_rates
+from dsapf.powerfill import water_fill_batch
 
 
 @dataclass(frozen=True)
@@ -71,3 +81,53 @@ def water_fill(problem: WaterFillProblem) -> np.ndarray:
         if hi - lo <= 1e-15 * max(1.0, abs(hi)):
             break
     return np.clip(0.5 * (lo + hi) - inv_g, 0.0, caps)
+
+
+def assignment_powers(inst, alloc: np.ndarray) -> np.ndarray:
+    """Powers for a (batch, users, bands) allocation under the power rule."""
+    counts = alloc.sum(axis=2, keepdims=True)
+    per_band = np.where(counts > 0,
+                        np.minimum(inst.p_total_w / np.maximum(counts, 1),
+                                   inst.p_band_cap_w), 0.0)
+    uniform = per_band * alloc
+    if inst.power_rule == "uniform":
+        return uniform
+    diag = np.einsum("iij->ij", inst.gains_sq)
+    received = np.einsum("ikj,bkj->bij", inst.gains_sq, uniform)
+    interference = np.maximum(received - diag[None] * uniform, 0.0)
+    g_eff = diag[None] / (interference + inst.noise_band_w)
+    b, n, m = alloc.shape
+    filled = water_fill_batch(g_eff.reshape(b * n, m), alloc.reshape(b * n, m),
+                              inst.p_total_w, inst.p_band_cap_w)
+    return filled.reshape(b, n, m)
+
+
+def solve_per_assignment(inst, objective) -> tuple[np.ndarray, float]:
+    """``oracle.solve_exhaustive`` with every assignment's powers derived by
+    ``assignment_powers``, in chunks of ``oracle._CHUNK`` assignments."""
+    kind = ObjectiveKind(objective)
+    if kind is ObjectiveKind.INTRINSIC:
+        kind = ObjectiveKind.SUM
+    n = inst.gains_sq.shape[0]
+    m = inst.availability.size
+    options = oracle.band_alphabet(inst.availability, inst.max_bands_per_user)
+    n_options = len(options)
+    total = n_options ** n
+    table = np.zeros((n_options, m), dtype=bool)
+    for idx, bands in enumerate(options):
+        table[idx, list(bands)] = True
+    weights = n_options ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    best_score = -np.inf
+    best_alloc = np.zeros((n, m), dtype=bool)
+    for start in range(0, total, oracle._CHUNK):
+        indices = np.arange(start, min(start + oracle._CHUNK, total), dtype=np.int64)
+        alloc = table[(indices[:, None] // weights[None, :]) % n_options]
+        power = assignment_powers(inst, alloc)
+        rates = user_rates(alloc, power, inst.gains_sq, inst.availability,
+                           inst.bandwidth_hz, inst.noise_band_w)
+        scores = evaluate_batch(kind, elastic_reward(rates, inst.thresholds, inst.beta))
+        pick = int(np.argmax(scores))
+        if scores[pick] > best_score:
+            best_score = float(scores[pick])
+            best_alloc = alloc[pick].copy()
+    return best_alloc, best_score

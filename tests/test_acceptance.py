@@ -18,8 +18,9 @@ from dsapf.objectives import evaluate
 from dsapf.oracle import TinyInstance, solve_exhaustive
 from dsapf.pfilter import (ParticleSet, effective_sample_size,
                            systematic_resample, update_weights)
-from dsapf.phy import draw_rate_thresholds, elastic_reward
-from dsapf.system import RngStream, SystemConfig, validate
+from dsapf.phy import elastic_reward
+from dsapf.system import (Domain, RngStream, SystemConfig, derive_substream,
+                          validate)
 
 from reference import WaterFillProblem, water_fill
 
@@ -168,12 +169,11 @@ def test_oracle_gap():
             seed=seed))
         snaps = []
         run(cfg, slot_hook=snaps.append)
-        thresholds = draw_rate_thresholds(cfg, RngStream(cfg.seed))
         best_ratio = 0.0
         for snap in snaps:
             inst = TinyInstance(
                 gains_sq=snap.gains_sq, availability=snap.availability,
-                thresholds=thresholds, bandwidth_hz=cfg.bandwidth_hz,
+                thresholds=snap.thresholds, bandwidth_hz=cfg.bandwidth_hz,
                 noise_band_w=cfg.noise_band_w, p_total_w=cfg.p_total_max_w,
                 p_band_cap_w=cfg.p_band_max_w, max_bands_per_user=1,
                 beta=cfg.beta, power_rule="waterfill")
@@ -255,7 +255,8 @@ def test_property_suite():
     seq = np.empty((steps, 100), dtype=complex)
     for t in range(steps):
         seq[t] = tensor.current[0, 0]
-        channel.step_channels(tensor, coeffs, RngStream(3, (4, t)))
+        channel.step_channels(tensor, coeffs,
+                              derive_substream(RngStream(3), (Domain.CHANNEL_STEP, t)))
     x = seq.real
     corr = np.corrcoef(x[:-1].ravel(), x[1:].ravel())[0, 1]
     results.append(("fading autocorrelation",

@@ -277,6 +277,23 @@ def test_oracle_check_rejects_large_instances(tmp_path, capsys):
     assert "6 users" in capsys.readouterr().err
 
 
+def test_oracle_check_refuses_large_instances_before_the_run(tmp_path, capsys,
+                                                            monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr("dsapf.cli.run_engine", engine)
+    assert main(["oracle-check", "--slots", "2"]) == EXIT_CONFIG
+    assert "6 users" in capsys.readouterr().err
+    for text, limit in (("n_users = 4\nn_bands = 5\n", "4 bands"),
+                        ("n_users = 4\nn_bands = 4\nmax_bands_per_user = 3\n",
+                         "2 bands per user")):
+        path = tmp_path / "big.scn"
+        path.write_text(text)
+        assert main(["oracle-check", "--config", str(path)]) == EXIT_CONFIG
+        assert limit in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- module
 
 

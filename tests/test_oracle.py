@@ -12,8 +12,9 @@ from dsapf.objectives import evaluate
 from dsapf.oracle import (InstanceTooLargeError, TinyInstance, band_alphabet,
                           solve_exhaustive)
 from dsapf.phy import elastic_reward
+from dsapf.powerfill import water_fill_batch
 
-from reference import WaterFillProblem, water_fill
+from reference import WaterFillProblem, solve_per_assignment, water_fill
 
 
 def make_instance(gains_sq, *, availability=None, l=1, rule="uniform",
@@ -246,6 +247,52 @@ def test_matches_loop_reference_two_band_users():
     want_alloc, want_score = loop_solve(inst, "sum")
     assert score == pytest.approx(want_score, rel=1e-9)
     assert np.array_equal(alloc, want_alloc)
+
+
+@pytest.mark.parametrize("rule", ["uniform", "waterfill"])
+@pytest.mark.parametrize("n_users", range(1, 7))
+def test_matches_per_assignment_reference_bit_for_bit(n_users, rule, monkeypatch):
+    # Powers derived once per distinct per-user problem must give the very
+    # allocation and score of powers derived afresh for every assignment,
+    # also when the enumeration runs in chunks of 7 assignments.
+    gen = np.random.default_rng([n_users, rule == "waterfill"])
+    for objective in ("sum", "maxmin", "proportional_fair", "intrinsic"):
+        m = int(gen.integers(1, 5))
+        random_shape = (m, gen.random(m) > 0.25, int(gen.integers(1, 3)))
+        # The largest shape: four bands, two per user, at most one busy.
+        full_shape = (4, np.arange(4) != gen.integers(0, 8), 2)
+        for m, availability, l in (random_shape, full_shape):
+            inst = make_instance(random_gains(gen, n_users, m),
+                                 availability=availability, l=l, rule=rule,
+                                 thresholds=gen.uniform(0.0, 2e6, size=n_users))
+            chunks = [oracle._CHUNK]
+            options = band_alphabet(inst.availability, inst.max_bands_per_user)
+            if len(options) ** n_users <= 2500:
+                chunks.append(7)
+            for chunk in chunks:
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                alloc, score = solve_exhaustive(inst, objective)
+                want_alloc, want_score = solve_per_assignment(inst, objective)
+                assert score == want_score, (objective, chunk, inst)
+                assert np.array_equal(alloc, want_alloc), (objective, chunk, inst)
+            monkeypatch.undo()
+
+
+def test_waterfill_solves_each_distinct_problem_once(monkeypatch):
+    rows = []
+
+    def counting(gains, *args):
+        rows.append(len(gains))
+        return water_fill_batch(gains, *args)
+
+    monkeypatch.setattr(oracle, "water_fill_batch", counting)
+    inst = make_instance(random_gains(np.random.default_rng(15), 5, 4), l=2,
+                         rule="waterfill")
+    solve_exhaustive(inst, "sum")
+    # Each user idles or holds one of 6 band pairs, each band shared with
+    # any of 2**4 sets of other users; one row per joint assignment and
+    # user would be 7**5 * 5 = 84,035.
+    assert 0 < sum(rows) <= 5 * (1 + 6 * 2 ** 8)
 
 
 # ---------------------------------------------------------------- oracle-check
