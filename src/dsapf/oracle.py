@@ -90,14 +90,16 @@ def _uniform_rows(inst: TinyInstance, table: np.ndarray) -> np.ndarray:
     return np.where(table, per_band, 0.0)
 
 
-def _waterfill_rows(inst: TinyInstance, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _waterfill_rows(inst: TinyInstance, table: np.ndarray,
+                    uniform: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Water-fill each distinct per-user problem once.
 
     Every non-idle option holds the same number k of bands, so every
     transmitter puts the same uniform power on each of its bands, and a
     user's water-fill reads only its own bands.  A user's powers thus depend
     only on the user, its option, and which other users occupy each of its
-    bands: n * (options - 1) * 2**((n - 1) * k) problems.  Returns their
+    bands: n * (options - 1) * 2**((n - 1) * k) problems.  ``uniform`` holds
+    each option's uniform split (``_uniform_rows``).  Returns their
     powers, row 0 being an idle user's, and for each joint assignment (in
     lexicographic rank) and user the row that holds that user's powers.
     """
@@ -108,7 +110,7 @@ def _waterfill_rows(inst: TinyInstance, table: np.ndarray) -> tuple[np.ndarray, 
     # pattern of the users, each transmitter at its uniform power.
     on = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1 == 1
     pattern_uniform = np.zeros((2 ** n, n, m))
-    pattern_uniform[on] = _uniform_rows(inst, table).max()
+    pattern_uniform[on] = uniform.max()
     diag = np.einsum("iij->ij", inst.gains_sq)
     received = np.einsum("ikj,pkj->pij", inst.gains_sq, pattern_uniform)
     interference = np.maximum(received - diag[None] * pattern_uniform, 0.0)
@@ -184,7 +186,7 @@ def solve_exhaustive(inst: TinyInstance, objective) -> tuple[np.ndarray, float]:
     weights = n_options ** np.arange(n - 1, -1, -1, dtype=np.int64)
     uniform = _uniform_rows(inst, table)
     if inst.power_rule == "waterfill":
-        rows, row_of = _waterfill_rows(inst, table)
+        rows, row_of = _waterfill_rows(inst, table, uniform)
 
     best_score = -np.inf
     best_alloc = np.zeros((n, m), dtype=bool)
