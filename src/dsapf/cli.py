@@ -16,6 +16,7 @@ default output directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import typing
@@ -23,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 from .engine import run as run_engine
-from .metrics_io import summary_row, sweep_table, write_run, write_sweep
+from .metrics_io import summary_line, sweep_table, write_run, write_sweep
 from .objectives import evaluate
 from .oracle import (InstanceTooLargeError, TinyInstance, check_enumerable,
                      solve_exhaustive)
@@ -86,18 +87,6 @@ def _default_out() -> str:
     return os.environ.get("DSA_PF_OUT", "out")
 
 
-def _summary_line(summary) -> str:
-    from .metrics_io import SUMMARY_COLUMNS
-    cells = summary_row(summary)
-    return " ".join(f"{k}={_plain(v)}" for k, v in zip(SUMMARY_COLUMNS, cells))
-
-
-def _plain(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def cmd_run(args) -> int:
     config = load_scenario(args.config)
     if args.seed is not None:
@@ -105,7 +94,7 @@ def cmd_run(args) -> int:
     vcfg = validate(config)
     summary, records = run_engine(vcfg)
     write_run(records, summary, args.out)
-    print(_summary_line(summary))
+    print(summary_line(summary))
     return EXIT_OK
 
 
@@ -132,6 +121,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad sweep values: {exc}")
     if not values or not seeds:
         raise ConfigError("sweep needs at least one value and one seed")
+    for axis, items in (("value", values), ("seed", seeds)):
+        repeated = [x for i, x in enumerate(items) if x in items[:i]]
+        if repeated:
+            raise ConfigError(f"duplicate sweep {axis} {repeated[0]}")
 
     cells = []
     for value in values:
@@ -168,7 +161,6 @@ def cmd_oracle_check(args) -> int:
     vcfg = validate(config)
     check_enumerable(config.n_users, config.n_bands, config.max_bands_per_user)
 
-    objective = config.objective if config.objective != "intrinsic" else "sum"
     snapshots = []
     run_engine(vcfg, slot_hook=snapshots.append)
 
@@ -181,9 +173,13 @@ def cmd_oracle_check(args) -> int:
             p_band_cap_w=vcfg.p_band_max_w,
             max_bands_per_user=config.max_bands_per_user, beta=config.beta,
             power_rule="waterfill")
-        _, best = solve_exhaustive(inst, objective)
-        achieved = evaluate(objective, snap.rewards)
-        ratio = achieved / best if best > 0 else (1.0 if achieved == best else float("nan"))
+        _, best = solve_exhaustive(inst, config.objective)
+        achieved = evaluate(config.objective, snap.rewards)
+        if config.objective == "proportional_fair":
+            # A log-sum can be <= 0: compare geometric means instead.
+            ratio = math.exp((achieved - best) / config.n_users)
+        else:
+            ratio = achieved / best if best > 0 else (1.0 if achieved == best else float("nan"))
         print(f"slot={snap.slot} achieved={achieved!r} oracle={best!r} ratio={ratio:.6f}")
     print(f"final_ratio={ratio:.6f}")
     return EXIT_OK

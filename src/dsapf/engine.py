@@ -11,8 +11,8 @@ agents, so a (seed, config) pair pins the whole trajectory bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .pfilter import (decide, effective_sample_size, init_particles, predict,
                       systematic_resample, update_weights)
 from .primary_user import occupancy, sample_availability
 from .system import (Domain, RngStream, SystemConfig, ValidatedConfig,
-                     derive_substream, validate, validate_allocation,
-                     validate_power)
+                     derive_substream, validate_allocation, validate_power)
 
 # Weight of the newest observation in the running reward mean that scales
 # the reweighting likelihood.
@@ -71,15 +70,6 @@ class SlotSnapshot:
     rates: np.ndarray
     rewards: np.ndarray
     thresholds: np.ndarray
-
-
-@dataclass(frozen=True)
-class ReplicateResult:
-    """Per-seed summaries plus mean/std aggregates across seeds."""
-
-    summaries: list[RunSummary]
-    mean: dict
-    std: dict
 
 
 def jain_index(rewards: np.ndarray) -> float:
@@ -160,26 +150,3 @@ def run(config: ValidatedConfig,
     )
     return summary, records
 
-
-SUMMARY_METRICS = ("avg_throughput_bps", "avg_jain", "total_messages")
-
-
-def summary_metric(summary: RunSummary, name: str) -> float:
-    """One of ``SUMMARY_METRICS`` read off a run summary."""
-    if name == "avg_throughput_bps":
-        return summary.per_user_avg_throughput
-    if name == "avg_jain":
-        return summary.avg_jain
-    return float(summary.total_messages)
-
-
-def replicate(config: SystemConfig, seeds: Sequence[int]) -> ReplicateResult:
-    """Run the scenario once per seed and aggregate the summary metrics."""
-    summaries = [run(validate(replace(config, seed=int(s))))[0] for s in seeds]
-    mean = {}
-    std = {}
-    for name in SUMMARY_METRICS:
-        values = np.array([summary_metric(s, name) for s in summaries])
-        mean[name] = float(values.mean())
-        std[name] = float(values.std())
-    return ReplicateResult(summaries=summaries, mean=mean, std=std)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import SUMMARY_METRICS, RunSummary, SlotRecord, summary_metric
+from .engine import RunSummary, SlotRecord
 
 SLOT_COLUMNS = ("slot", "occupancy", "jain", "messages",
                 "mean_rate_bps", "min_rate_bps", "max_rate_bps")
@@ -21,6 +21,7 @@ SUMMARY_COLUMNS = ("seed", "objective", "n_users", "n_bands", "ell",
                    "n_particles", "pu_busy_prob", "avg_throughput_bps",
                    "avg_jain", "total_messages")
 SWEEP_COLUMNS = ("parameter", "value", "metric", "mean", "std")
+SUMMARY_METRICS = ("avg_throughput_bps", "avg_jain", "total_messages")
 
 
 def _cell(value) -> str:
@@ -49,6 +50,12 @@ def summary_row(summary: RunSummary) -> list:
             summary.total_messages]
 
 
+def summary_line(summary: RunSummary) -> str:
+    """The summary row as ``column=value`` pairs, each value as in the CSV."""
+    return " ".join(f"{k}={_cell(v)}"
+                    for k, v in zip(SUMMARY_COLUMNS, summary_row(summary)))
+
+
 def write_run(records: Sequence[SlotRecord], summary: RunSummary,
               out_dir: str) -> tuple[str, str]:
     """Write slots.csv and summary.csv under ``out_dir``; returns the paths."""
@@ -67,6 +74,15 @@ def write_run(records: Sequence[SlotRecord], summary: RunSummary,
 def _config_key(summary: RunSummary, ignore: tuple[str, ...]) -> tuple:
     items = asdict(summary.config)
     return tuple(v for k, v in sorted(items.items()) if k not in ignore)
+
+
+def summary_metric(summary: RunSummary, name: str) -> float:
+    """One of ``SUMMARY_METRICS`` read off a run summary."""
+    if name == "avg_throughput_bps":
+        return summary.per_user_avg_throughput
+    if name == "avg_jain":
+        return summary.avg_jain
+    return float(summary.total_messages)
 
 
 def sweep_table(groups: Sequence[tuple[object, Sequence[RunSummary]]],

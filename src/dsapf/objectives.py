@@ -18,18 +18,23 @@ class ObjectiveKind(str, enum.Enum):
     PROPORTIONAL_FAIR = "proportional_fair"
 
 
-def evaluate(kind, rewards: np.ndarray, self_index: int = 0) -> float:
-    """Score one reward vector under the given objective."""
-    return float(evaluate_batch(kind, np.asarray(rewards, float)[None, :], self_index)[0])
+OBJECTIVE_NAMES = tuple(k.value for k in ObjectiveKind)
 
 
-def evaluate_batch(kind, rewards: np.ndarray, self_index: int = 0) -> np.ndarray:
-    """Score each row of a (candidates, users) reward matrix."""
+def evaluate(kind, rewards: np.ndarray) -> float:
+    """Score one joint reward vector under the given objective."""
+    return float(evaluate_batch(kind, np.asarray(rewards, float)[None, :])[0])
+
+
+def evaluate_batch(kind, rewards: np.ndarray) -> np.ndarray:
+    """Score each row of a (candidates, users) joint reward matrix.
+
+    ``intrinsic`` ranks one agent's own reward and has no joint form, so a
+    joint vector scores under it as its sum.
+    """
     kind = ObjectiveKind(kind)
     rewards = np.asarray(rewards, dtype=float)
-    if kind is ObjectiveKind.INTRINSIC:
-        return rewards[:, self_index].copy()
-    if kind is ObjectiveKind.SUM:
+    if kind in (ObjectiveKind.INTRINSIC, ObjectiveKind.SUM):
         return rewards.sum(axis=1)
     if kind is ObjectiveKind.MAXMIN:
         return rewards.min(axis=1)

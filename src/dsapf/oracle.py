@@ -23,7 +23,6 @@ from .objectives import ObjectiveKind, evaluate_batch
 from .phy import elastic_reward, user_rates
 from .powerfill import water_fill_batch
 
-MAX_JOINT_ASSIGNMENTS = 10**6
 _CHUNK = 16384
 
 
@@ -32,7 +31,12 @@ class InstanceTooLargeError(ValueError):
 
 
 def check_enumerable(n_users: int, n_bands: int, max_bands_per_user: int) -> None:
-    """Refuse sizes beyond 6 users, 4 bands or 2 bands per user."""
+    """Refuse sizes beyond 6 users, 4 bands or 2 bands per user.
+
+    These limits alone bound the search: a user has at most 7 options
+    (idle or one of the 6 band pairs), so at most 7**6 = 117,649 joint
+    assignments.
+    """
     if n_users > 6:
         raise InstanceTooLargeError("at most 6 users are enumerable")
     if n_bands > 4:
@@ -160,24 +164,14 @@ def _assignment_rewards(inst: TinyInstance, alloc: np.ndarray,
 
 
 def solve_exhaustive(inst: TinyInstance, objective) -> tuple[np.ndarray, float]:
-    """Best joint allocation and its score; ties break to the
-    lexicographically first assignment.
-
-    The intrinsic objective has no joint optimum, so it is scored as the
-    reward sum here.  Refuses instances whose joint space tops a million
-    assignments, reporting the size.
-    """
+    """Best joint allocation and its score under ``evaluate_batch``; ties
+    break to the lexicographically first assignment."""
     kind = ObjectiveKind(objective)
-    if kind is ObjectiveKind.INTRINSIC:
-        kind = ObjectiveKind.SUM
     n = inst.gains_sq.shape[0]
     m = inst.availability.size
     options = band_alphabet(inst.availability, inst.max_bands_per_user)
     n_options = len(options)
     total = n_options ** n
-    if total > MAX_JOINT_ASSIGNMENTS:
-        raise InstanceTooLargeError(
-            f"{n_options}^{n} = {total} joint assignments exceed {MAX_JOINT_ASSIGNMENTS}")
 
     table = np.zeros((n_options, m), dtype=bool)
     for idx, bands in enumerate(options):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-OBJECTIVE_NAMES = ("intrinsic", "sum", "maxmin", "proportional_fair")
+from .objectives import OBJECTIVE_NAMES
 
 
 class ConfigError(ValueError):
@@ -19,13 +19,6 @@ class ConfigError(ValueError):
 def dbm_to_watt(dbm: float) -> float:
     """Convert a dBm power level to linear watts."""
     return 10.0 ** (dbm / 10.0) * 1e-3
-
-
-def watt_to_dbm(watt: float) -> float:
-    """Convert linear watts back to dBm."""
-    if watt <= 0.0:
-        raise ValueError("watt must be > 0")
-    return 10.0 * math.log10(watt * 1e3)
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,6 @@ def solve_per_assignment(inst, objective) -> tuple[np.ndarray, float]:
     """``oracle.solve_exhaustive`` with every assignment's powers derived by
     ``assignment_powers``, in chunks of ``oracle._CHUNK`` assignments."""
     kind = ObjectiveKind(objective)
-    if kind is ObjectiveKind.INTRINSIC:
-        kind = ObjectiveKind.SUM
     n = inst.gains_sq.shape[0]
     m = inst.availability.size
     options = oracle.band_alphabet(inst.availability, inst.max_bands_per_user)

@@ -1,5 +1,6 @@
 """Command-line front end: scenarios, subcommands, exit codes."""
 
+import math
 import os
 import subprocess
 import sys
@@ -80,6 +81,11 @@ def test_run_writes_outputs_and_prints_summary(scenario, tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("seed=2 objective=sum")
     assert "avg_throughput_bps=" in line
+    # The printed pairs are summary.csv's header and row, cell for cell.
+    header, row = (out / "summary.csv").read_text().splitlines()
+    pairs = [pair.split("=", 1) for pair in line.split(" ")]
+    assert [key for key, _ in pairs] == header.split(",")
+    assert [value for _, value in pairs] == row.split(",")
 
 
 def test_run_seed_override(scenario, tmp_path):
@@ -245,6 +251,21 @@ def test_sweep_rejects_jobs_below_one(scenario, tmp_path, capsys,
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("values, seeds, message", [
+    ("0.1,0.5,0.10", "0", "duplicate sweep value 0.1"),
+    ("0.1,0.5", "3,0,3", "duplicate sweep seed 3"),
+])
+def test_sweep_rejects_duplicate_cells(scenario, tmp_path, capsys,
+                                       recording_pool, values, seeds, message):
+    code = main(["sweep", "--config", scenario, "--param", "pu_busy_prob",
+                 "--values", values, "--seeds", seeds,
+                 "--out", str(tmp_path / "s"), "--jobs", "2"])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert recording_pool.sizes == []
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweeping_the_seed_is_rejected(scenario, tmp_path, capsys):
     code = main(["sweep", "--config", scenario, "--param", "seed",
                  "--values", "3,4", "--seeds", "0",
@@ -266,6 +287,23 @@ def test_oracle_check_reports_ratios(scenario, capsys):
     final = [l for l in out if l.startswith("final_ratio=")]
     assert len(final) == 1
     assert float(final[0].split("=")[1]) > 0.0
+
+
+@pytest.mark.parametrize("bandwidth", ["1e-3", "0.5"])
+def test_oracle_check_proportional_fair_ratios_are_finite(tmp_path, capsys,
+                                                          bandwidth):
+    # Log-sum scores here are <= 0 (1e-3 Hz) or change sign (0.5 Hz).
+    path = tmp_path / "pf.scn"
+    path.write_text("n_users = 5\nn_bands = 2\nmax_bands_per_user = 1\n"
+                    "n_particles = 4\nobjective = proportional_fair\n"
+                    f"bandwidth_hz = {bandwidth}\n"
+                    "rate_threshold_range_bps = 0, 0\n")
+    code = main(["oracle-check", "--config", str(path), "--slots", "4"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    ratios = [float(l.rsplit("ratio=", 1)[1]) for l in out if "ratio=" in l]
+    assert len(ratios) == 5
+    assert all(math.isfinite(r) and r > 0.0 for r in ratios)
 
 
 def test_oracle_check_rejects_large_instances(tmp_path, capsys):

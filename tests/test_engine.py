@@ -1,9 +1,9 @@
-"""Slot loop: metrics, compliance, determinism, replication."""
+"""Slot loop: metrics, compliance, determinism."""
 
 import numpy as np
 import pytest
 
-from dsapf.engine import (ReplicateResult, jain_index, replicate, run)
+from dsapf.engine import jain_index, run
 from dsapf.phy import draw_rate_thresholds, elastic_reward
 from dsapf.system import RngStream, SystemConfig, validate
 
@@ -185,29 +185,3 @@ def test_summary_aggregates_match_records():
     assert summary.seed == 21
     assert summary.config.n_users == 5
 
-
-# ---------------------------------------------------------------- replicate
-
-
-def test_replicate_matches_manual_mean_std():
-    cfg = SystemConfig(n_users=4, n_bands=3, max_bands_per_user=1,
-                       n_particles=6, n_slots=8, seed=0)
-    result = replicate(cfg, [0, 1, 2])
-    assert isinstance(result, ReplicateResult)
-    assert len(result.summaries) == 3
-    thr = np.array([s.per_user_avg_throughput for s in result.summaries])
-    assert result.mean["avg_throughput_bps"] == pytest.approx(thr.mean(),
-                                                              rel=1e-12)
-    assert result.std["avg_throughput_bps"] == pytest.approx(thr.std(),
-                                                             rel=1e-12)
-    assert result.mean["total_messages"] == 8 * 4 * 3
-
-
-def test_replicate_same_seed_has_zero_spread():
-    cfg = SystemConfig(n_users=4, n_bands=3, max_bands_per_user=1,
-                       n_particles=6, n_slots=8, seed=0)
-    result = replicate(cfg, [5, 5])
-    assert result.std["avg_throughput_bps"] == 0.0
-    assert result.std["avg_jain"] == 0.0
-    assert (result.summaries[0].per_user_avg_throughput
-            == result.summaries[1].per_user_avg_throughput)

@@ -27,19 +27,19 @@ def test_proportional_fair_floor_keeps_zeros_finite():
     assert math.isfinite(got)
 
 
-def test_intrinsic_selects_own_column():
-    rewards = np.array([[1.0, 5.0, 2.0], [4.0, 0.5, 9.0]])
-    got = evaluate_batch("intrinsic", rewards, self_index=1)
-    assert np.array_equal(got, np.array([5.0, 0.5]))
-    assert evaluate("intrinsic", rewards[0], self_index=2) == 2.0
+def test_intrinsic_scores_a_joint_vector_as_its_sum():
+    rewards = np.random.default_rng(3).uniform(0.0, 10.0, size=(5, 4))
+    assert np.array_equal(evaluate_batch("intrinsic", rewards),
+                          evaluate_batch("sum", rewards))
+    assert evaluate("intrinsic", rewards[0]) == evaluate("sum", rewards[0])
 
 
 def test_batch_matches_scalar_loop():
     rng = np.random.default_rng(5)
     rewards = rng.uniform(0.0, 10.0, size=(6, 4))
     for kind in ObjectiveKind:
-        batch = evaluate_batch(kind, rewards, self_index=2)
-        loop = np.array([evaluate(kind, row, self_index=2) for row in rewards])
+        batch = evaluate_batch(kind, rewards)
+        loop = np.array([evaluate(kind, row) for row in rewards])
         assert np.allclose(batch, loop, rtol=1e-14)
 
 

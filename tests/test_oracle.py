@@ -84,13 +84,6 @@ def test_instance_size_guards():
                      p_band_cap_w=0.06, max_bands_per_user=1)
 
 
-def test_joint_space_cap(monkeypatch):
-    inst = make_instance(random_gains(np.random.default_rng(1), 4, 3))
-    monkeypatch.setattr(oracle, "MAX_JOINT_ASSIGNMENTS", 100)
-    with pytest.raises(InstanceTooLargeError, match="4\\^4"):
-        solve_exhaustive(inst, "sum")
-
-
 # ---------------------------------------------------------------- solutions
 
 
@@ -219,8 +212,7 @@ def loop_solve(inst, objective):
                     1.0 + sig / (interf + inst.noise_band_w))
             rewards[i] = elastic_reward(rate, float(inst.thresholds[i]),
                                         inst.beta)
-        kind = "sum" if objective == "intrinsic" else objective
-        score = evaluate(kind, rewards)
+        score = evaluate(objective, rewards)
         if score > best_score:
             best_alloc, best_score = alloc, score
     return best_alloc, best_score

@@ -13,7 +13,7 @@ from dsapf.objectives import ObjectiveKind, evaluate, evaluate_batch
 from dsapf.phy import elastic_reward, shannon_rates
 from dsapf.powerfill import water_fill_batch
 from dsapf.system import (Domain, RngStream, SystemConfig, validate,
-                          validate_allocation, validate_power, watt_to_dbm)
+                          validate_allocation, validate_power)
 
 from reference import WaterFillProblem, water_fill
 
@@ -171,8 +171,8 @@ def decide_config(n, m, max_bands, objective="sum", beta=1.0):
     return validate(SystemConfig(
         n_users=n, n_bands=m, max_bands_per_user=max_bands, bandwidth_hz=1e6,
         noise_psd_dbm_hz=-100.0, beta=beta,
-        p_total_max_dbm=watt_to_dbm(P_TOTAL_W),
-        p_band_max_dbm=watt_to_dbm(P_CAP_W), objective=objective))
+        p_total_max_dbm=10.0 * math.log10(P_TOTAL_W * 1e3),
+        p_band_max_dbm=10.0 * math.log10(P_CAP_W * 1e3), objective=objective))
 
 
 def pset_of(rows, max_bands):
@@ -297,7 +297,8 @@ def loop_scores(rows, max_bands, agent, gains_sq, power_w, availability,
                 inter = sum(g[k, l, j] * p_of[l] for l in range(n) if l != k)
                 rate += cfg.bandwidth_hz * math.log2(1.0 + sig / (inter + noise))
             rewards[k] = elastic_reward(rate, float(thresholds[k]), cfg.beta)
-        scores.append(evaluate(objective, rewards, self_index=agent))
+        scores.append(rewards[agent] if objective == "intrinsic"
+                      else evaluate(objective, rewards))
         own_rewards.append(rewards[agent])
     return np.array(scores), np.array(own_rewards)
 

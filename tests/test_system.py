@@ -11,27 +11,13 @@ from hypothesis import event, given, settings, strategies as st
 from dsapf.engine import run
 from dsapf.system import (OBJECTIVE_NAMES, ConfigError, Domain, RngStream,
                           SystemConfig, dbm_to_watt, derive_substream,
-                          validate, validate_allocation, validate_power,
-                          watt_to_dbm)
+                          validate, validate_allocation, validate_power)
 
 
 def test_dbm_anchors():
     # 0 dBm is 1 mW by definition; 30 dBm is 1 W.
     assert dbm_to_watt(0.0) == pytest.approx(1e-3, rel=1e-15)
     assert dbm_to_watt(30.0) == pytest.approx(1.0, rel=1e-15)
-    assert watt_to_dbm(1e-3) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_dbm_round_trip():
-    for dbm in (-100.0, -3.0, 0.0, 3.0, 9.0, 30.0):
-        assert watt_to_dbm(dbm_to_watt(dbm)) == pytest.approx(dbm, abs=1e-12)
-
-
-def test_watt_to_dbm_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        watt_to_dbm(0.0)
-    with pytest.raises(ValueError):
-        watt_to_dbm(-1.0)
 
 
 def test_validate_defaults_and_derived_units():
