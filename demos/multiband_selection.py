@@ -3,7 +3,7 @@ once first raises throughput (diversity, more parallel channels), then
 lowers it (the fixed power budget spreads thin while co-channel
 interference multiplies).
 
-Run: python3 demos/multiband_selection.py  (a few minutes)
+Run: python3 demos/multiband_selection.py  (about 20 s)
 """
 
 import numpy as np

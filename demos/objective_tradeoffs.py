@@ -5,7 +5,7 @@ snapshot, but what it maximizes differs: its own reward (intrinsic), the
 network total (sum), the worst user (maxmin), or the log-sum
 (proportional_fair).
 
-Run: python3 demos/objective_tradeoffs.py  (about a minute)
+Run: python3 demos/objective_tradeoffs.py
 """
 
 from dsapf.engine import run

@@ -2,7 +2,7 @@
 of candidate band subsets; more particles mean better coverage of the
 subset space but linearly more work.  Throughput saturates quickly.
 
-Run: python3 demos/particle_count.py  (about a minute)
+Run: python3 demos/particle_count.py  (a few seconds)
 """
 
 import numpy as np

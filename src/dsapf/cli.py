@@ -16,7 +16,7 @@ default output directory.
 from __future__ import annotations
 
 import argparse
-import math
+import io
 import os
 import sys
 import typing
@@ -25,9 +25,7 @@ from dataclasses import fields, replace
 
 from .engine import run as run_engine
 from .metrics_io import summary_line, sweep_table, write_run, write_sweep
-from .objectives import evaluate
-from .oracle import (InstanceTooLargeError, TinyInstance, check_enumerable,
-                     solve_exhaustive)
+from .oracle import InstanceTooLargeError, check_enumerable, compare
 from .system import ConfigError, SystemConfig, validate
 
 EXIT_OK = 0
@@ -65,21 +63,27 @@ def load_scenario(path: str | None) -> SystemConfig:
     """Parse a scenario file; None or an empty file yields the defaults."""
     values = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _FIELD_NAMES:
-                    raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-                try:
-                    values[key] = _CONVERT[key](value)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}")
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte offset {exc.start})")
+        # Universal newlines, as a file opened in text mode reads them.
+        for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in _FIELD_NAMES:
+                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+            try:
+                values[key] = _CONVERT[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}")
     return SystemConfig(**values)
 
 
@@ -157,7 +161,8 @@ def cmd_oracle_check(args) -> int:
     config = load_scenario(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    config = replace(config, n_slots=args.slots)
+    if args.slots is not None:
+        config = replace(config, n_slots=args.slots)
     vcfg = validate(config)
     check_enumerable(config.n_users, config.n_bands, config.max_bands_per_user)
 
@@ -165,22 +170,8 @@ def cmd_oracle_check(args) -> int:
     run_engine(vcfg, slot_hook=snapshots.append)
 
     ratio = float("nan")
-    for snap in snapshots:
-        inst = TinyInstance(
-            gains_sq=snap.gains_sq, availability=snap.availability,
-            thresholds=snap.thresholds, bandwidth_hz=config.bandwidth_hz,
-            noise_band_w=vcfg.noise_band_w, p_total_w=vcfg.p_total_max_w,
-            p_band_cap_w=vcfg.p_band_max_w,
-            max_bands_per_user=config.max_bands_per_user, beta=config.beta,
-            power_rule="waterfill")
-        _, best = solve_exhaustive(inst, config.objective)
-        achieved = evaluate(config.objective, snap.rewards)
-        if config.objective == "proportional_fair":
-            # A log-sum can be <= 0: compare geometric means instead.
-            ratio = math.exp((achieved - best) / config.n_users)
-        else:
-            ratio = achieved / best if best > 0 else (1.0 if achieved == best else float("nan"))
-        print(f"slot={snap.slot} achieved={achieved!r} oracle={best!r} ratio={ratio:.6f}")
+    for slot, achieved, best, ratio in compare(vcfg, snapshots):
+        print(f"slot={slot} achieved={achieved!r} oracle={best!r} ratio={ratio:.6f}")
     print(f"final_ratio={ratio:.6f}")
     return EXIT_OK
 
@@ -212,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="compare a tiny scenario against brute force")
     p_oracle.add_argument("--config", default=None)
     p_oracle.add_argument("--seed", type=int, default=None)
-    p_oracle.add_argument("--slots", type=int, default=50)
+    p_oracle.add_argument("--slots", type=int, default=None)
     p_oracle.set_defaults(handler=cmd_oracle_check)
     return parser
 

@@ -2,24 +2,25 @@
 
 Enumerates every joint band assignment (each user either idles or takes a
 subset of the feasible size) on a fixed channel snapshot and scores it under
-a chosen objective, with powers set by one fixed rule.  Useful only at toy
-scale; the result is the optimum over joint band choices under that power
-rule, not an upper bound on what the filters reach.
+a chosen objective, each user water-filling against the others' uniform
+split.  Useful only at toy scale; the result is the optimum over joint band
+choices under that power rule, not an upper bound on what the filters reach.
 
-Under the ``waterfill`` rule a user's powers depend only on its option and
-on which other users share its bands, so each distinct per-user water-fill
-is solved once per instance and gathered back to every joint assignment;
-the scores match water-filling each assignment afresh bit for bit.
+A user's powers depend only on its option and on which other users share
+its bands, so each distinct per-user water-fill is solved once per instance
+and gathered back to every joint assignment; the scores match water-filling
+each assignment afresh bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ObjectiveKind, evaluate_batch
+from .objectives import ObjectiveKind, evaluate, evaluate_batch
 from .phy import elastic_reward, user_rates
 from .powerfill import water_fill_batch
 
@@ -49,10 +50,10 @@ def check_enumerable(n_users: int, n_bands: int, max_bands_per_user: int) -> Non
 class TinyInstance:
     """A frozen snapshot small enough to brute-force.
 
-    ``gains_sq`` is the realized squared-gain tensor (users, users, bands);
-    ``power_rule`` fixes how per-assignment powers are derived: "uniform"
-    splits the budget across selected bands, "waterfill" water-fills each
-    user against the interference of the others under a uniform split.
+    ``gains_sq`` is the realized squared-gain tensor (users, users, bands).
+    ``power_rule`` names the one power rule, "waterfill"; the field stays
+    because the benchmark (``perfbench/worker.py``) passes it, and any other
+    value raises ``ValueError``.
     """
 
     gains_sq: np.ndarray
@@ -64,7 +65,7 @@ class TinyInstance:
     p_band_cap_w: float
     max_bands_per_user: int
     beta: float = 0.5
-    power_rule: str = "uniform"
+    power_rule: str = "waterfill"
 
     def __post_init__(self):
         n = self.gains_sq.shape[0]
@@ -72,8 +73,8 @@ class TinyInstance:
         if self.gains_sq.shape[:2] != (n, n) or self.gains_sq.shape[2] != m:
             raise ValueError("gains_sq must be (n_users, n_users, n_bands)")
         check_enumerable(n, m, self.max_bands_per_user)
-        if self.power_rule not in ("uniform", "waterfill"):
-            raise ValueError("power_rule must be 'uniform' or 'waterfill'")
+        if self.power_rule != "waterfill":
+            raise ValueError("power_rule must be 'waterfill'")
 
 
 def band_alphabet(availability: np.ndarray, max_bands_per_user: int) -> list[tuple[int, ...]]:
@@ -87,34 +88,26 @@ def band_alphabet(availability: np.ndarray, max_bands_per_user: int) -> list[tup
     return options
 
 
-def _uniform_rows(inst: TinyInstance, table: np.ndarray) -> np.ndarray:
-    """Each option's powers under the uniform split of the budget."""
-    counts = table.sum(axis=1, keepdims=True)
-    per_band = np.minimum(inst.p_total_w / np.maximum(counts, 1), inst.p_band_cap_w)
-    return np.where(table, per_band, 0.0)
-
-
-def _waterfill_rows(inst: TinyInstance, table: np.ndarray,
-                    uniform: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _waterfill_rows(inst: TinyInstance,
+                    table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Water-fill each distinct per-user problem once.
 
     Every non-idle option holds the same number k of bands, so every
-    transmitter puts the same uniform power on each of its bands, and a
-    user's water-fill reads only its own bands.  A user's powers thus depend
-    only on the user, its option, and which other users occupy each of its
-    bands: n * (options - 1) * 2**((n - 1) * k) problems.  ``uniform`` holds
-    each option's uniform split (``_uniform_rows``).  Returns their
-    powers, row 0 being an idle user's, and for each joint assignment (in
-    lexicographic rank) and user the row that holds that user's powers.
+    transmitter puts the same uniform min(P / k, cap) on each of its bands,
+    and a user's water-fill reads only its own bands.  A user's powers thus
+    depend only on the user, its option, and which other users occupy each
+    of its bands: n * (options - 1) * 2**((n - 1) * k) problems.  Returns
+    their powers, row 0 being an idle user's, and for each joint assignment
+    (in lexicographic rank) and user the row that holds that user's powers.
     """
     n, _, m = inst.gains_sq.shape
     n_options = table.shape[0]
     k = int(table[-1].sum())
+    uniform = min(inst.p_total_w / max(k, 1), inst.p_band_cap_w)
     # Effective gains of every user on every band under each on/off
     # pattern of the users, each transmitter at its uniform power.
     on = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1 == 1
-    pattern_uniform = np.zeros((2 ** n, n, m))
-    pattern_uniform[on] = uniform.max()
+    pattern_uniform = np.where(on[:, :, None], uniform, np.zeros(m))
     diag = np.einsum("iij->ij", inst.gains_sq)
     received = np.einsum("ikj,pkj->pij", inst.gains_sq, pattern_uniform)
     interference = np.maximum(received - diag[None] * pattern_uniform, 0.0)
@@ -156,13 +149,6 @@ def _waterfill_rows(inst: TinyInstance, table: np.ndarray,
     return rows, row_of
 
 
-def _assignment_rewards(inst: TinyInstance, alloc: np.ndarray,
-                        power: np.ndarray) -> np.ndarray:
-    rates = user_rates(alloc, power, inst.gains_sq, inst.availability,
-                       inst.bandwidth_hz, inst.noise_band_w)
-    return elastic_reward(rates, inst.thresholds, inst.beta)
-
-
 def solve_exhaustive(inst: TinyInstance, objective) -> tuple[np.ndarray, float]:
     """Best joint allocation and its score under ``evaluate_batch``; ties
     break to the lexicographically first assignment."""
@@ -178,9 +164,7 @@ def solve_exhaustive(inst: TinyInstance, objective) -> tuple[np.ndarray, float]:
         table[idx, list(bands)] = True
     # Digit weights make assignment index == lexicographic rank.
     weights = n_options ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    uniform = _uniform_rows(inst, table)
-    if inst.power_rule == "waterfill":
-        rows, row_of = _waterfill_rows(inst, table, uniform)
+    rows, row_of = _waterfill_rows(inst, table)
 
     best_score = -np.inf
     best_alloc = np.zeros((n, m), dtype=bool)
@@ -188,14 +172,38 @@ def solve_exhaustive(inst: TinyInstance, objective) -> tuple[np.ndarray, float]:
         indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = (indices[:, None] // weights[None, :]) % n_options
         alloc = table[digits]
-        if inst.power_rule == "uniform":
-            power = uniform[digits]
-        else:
-            power = rows[row_of[start:start + _CHUNK]]
-        rewards = _assignment_rewards(inst, alloc, power)
-        scores = evaluate_batch(kind, rewards)
+        power = rows[row_of[start:start + _CHUNK]]
+        rates = user_rates(alloc, power, inst.gains_sq, inst.availability,
+                           inst.bandwidth_hz, inst.noise_band_w)
+        scores = evaluate_batch(kind, elastic_reward(rates, inst.thresholds, inst.beta))
         pick = int(np.argmax(scores))
         if scores[pick] > best_score:
             best_score = float(scores[pick])
             best_alloc = alloc[pick].copy()
     return best_alloc, best_score
+
+
+def compare(config, snapshots):
+    """Score the slot snapshots of a run of the validated ``config`` against
+    the exhaustive optimum of each slot under ``config.objective``.
+
+    Yields ``(slot, achieved, optimum, ratio)``.  The ratio is achieved over
+    optimum, except under ``proportional_fair``: its score is a sum of logs
+    and can be <= 0, so the ratio there is that of the geometric means of
+    the rewards, ``exp((achieved - optimum) / n_users)``.
+    """
+    for snap in snapshots:
+        inst = TinyInstance(
+            gains_sq=snap.gains_sq, availability=snap.availability,
+            thresholds=snap.thresholds, bandwidth_hz=config.bandwidth_hz,
+            noise_band_w=config.noise_band_w, p_total_w=config.p_total_max_w,
+            p_band_cap_w=config.p_band_max_w,
+            max_bands_per_user=config.max_bands_per_user, beta=config.beta)
+        _, optimum = solve_exhaustive(inst, config.objective)
+        achieved = evaluate(config.objective, snap.rewards)
+        if config.objective == "proportional_fair":
+            ratio = math.exp((achieved - optimum) / config.n_users)
+        else:
+            ratio = (achieved / optimum if optimum > 0
+                     else 1.0 if achieved == optimum else float("nan"))
+        yield snap.slot, achieved, optimum, ratio

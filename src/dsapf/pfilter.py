@@ -78,9 +78,6 @@ def predict(pset: ParticleSet, availability: np.ndarray, mutation_prob: float,
     if mutation_prob > 0.0:
         keep &= gen.random(shape) >= mutation_prob
     k = min(pset.max_bands, int(availability.sum()))
-    if k == 0:
-        pset.selections = np.zeros_like(keep)
-        return pset
     keys = np.where(availability, gen.random(shape), -1.0)
     # Kept bands always survive the top-k cut.
     pset.selections = _top_k(np.where(keep, 2.0, keys), k)
@@ -202,8 +199,11 @@ def systematic_resample(pset: ParticleSet, agents: Sequence[int],
     positions = (u0[:, None] + np.arange(n_particles)) / n_particles
     cumulative = np.cumsum(pset.weights[agents], axis=1)
     cumulative[:, -1] = 1.0  # guard round-off so the last position always lands
-    # First cumulative bin reaching each position (a row-wise searchsorted).
-    parents = (cumulative[:, None, :] < positions[:, :, None]).sum(axis=2)
+    # Position p's parent is the number of bins below it.  Merged stably after
+    # the ascending positions, equal bins rank later: p lands at p + parent.
+    order = np.argsort(np.hstack([positions, cumulative]), axis=1, kind="stable")
+    ranks = np.nonzero(order < n_particles)[1].reshape(positions.shape)
+    parents = ranks - np.arange(n_particles)
     # New arrays, so a caller holding the old population sees it unchanged.
     selections = pset.selections.copy()
     selections[agents] = np.take_along_axis(selections[agents],

@@ -9,6 +9,10 @@ the two is a cross-check of both.
 of every joint assignment afresh, water-filling one row per user and
 assignment; ``dsapf.oracle.solve_exhaustive`` must return its allocation
 and score bit for bit.
+
+``resample_parents`` finds systematic resampling's parents by comparing
+every position with every cumulative bin, in memory quadratic in the
+particle count; ``dsapf.pfilter.systematic_resample`` must pick the same.
 """
 
 from __future__ import annotations
@@ -84,14 +88,13 @@ def water_fill(problem: WaterFillProblem) -> np.ndarray:
 
 
 def assignment_powers(inst, alloc: np.ndarray) -> np.ndarray:
-    """Powers for a (batch, users, bands) allocation under the power rule."""
+    """Powers for a (batch, users, bands) allocation: each user water-fills
+    against the interference of the others under a uniform split."""
     counts = alloc.sum(axis=2, keepdims=True)
     per_band = np.where(counts > 0,
                         np.minimum(inst.p_total_w / np.maximum(counts, 1),
                                    inst.p_band_cap_w), 0.0)
     uniform = per_band * alloc
-    if inst.power_rule == "uniform":
-        return uniform
     diag = np.einsum("iij->ij", inst.gains_sq)
     received = np.einsum("ikj,bkj->bij", inst.gains_sq, uniform)
     interference = np.maximum(received - diag[None] * uniform, 0.0)
@@ -129,3 +132,14 @@ def solve_per_assignment(inst, objective) -> tuple[np.ndarray, float]:
             best_score = float(scores[pick])
             best_alloc = alloc[pick].copy()
     return best_alloc, best_score
+
+
+def resample_parents(weights: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """Parent indices of systematic resampling for (rows, particles)
+    weights and one offset per row: each position's first cumulative bin
+    reaching it."""
+    n_particles = weights.shape[1]
+    positions = (u0[:, None] + np.arange(n_particles)) / n_particles
+    cumulative = np.cumsum(weights, axis=1)
+    cumulative[:, -1] = 1.0
+    return (cumulative[:, None, :] < positions[:, :, None]).sum(axis=2)

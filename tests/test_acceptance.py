@@ -14,8 +14,7 @@ import pytest
 
 import dsapf.channel as channel
 from dsapf.engine import jain_index, run
-from dsapf.objectives import evaluate
-from dsapf.oracle import TinyInstance, solve_exhaustive
+from dsapf.oracle import compare
 from dsapf.pfilter import (ParticleSet, effective_sample_size,
                            systematic_resample, update_weights)
 from dsapf.phy import elastic_reward
@@ -169,17 +168,7 @@ def test_oracle_gap():
             seed=seed))
         snaps = []
         run(cfg, slot_hook=snaps.append)
-        best_ratio = 0.0
-        for snap in snaps:
-            inst = TinyInstance(
-                gains_sq=snap.gains_sq, availability=snap.availability,
-                thresholds=snap.thresholds, bandwidth_hz=cfg.bandwidth_hz,
-                noise_band_w=cfg.noise_band_w, p_total_w=cfg.p_total_max_w,
-                p_band_cap_w=cfg.p_band_max_w, max_bands_per_user=1,
-                beta=cfg.beta, power_rule="waterfill")
-            _, best = solve_exhaustive(inst, "sum")
-            best_ratio = max(best_ratio,
-                             evaluate("sum", snap.rewards) / best)
+        best_ratio = max(ratio for *_, ratio in compare(cfg, snaps))
         hits += best_ratio >= 0.90
         worst = min(worst, best_ratio)
     elapsed = time.monotonic() - t0

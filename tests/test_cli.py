@@ -69,6 +69,12 @@ def test_load_scenario_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ConfigError, match="c.scn:1.*n_users"):
         load_scenario(str(bad_value))
 
+    # \r\n and a lone \r end lines, as in a file read in text mode.
+    old_mac = tmp_path / "d.scn"
+    old_mac.write_bytes(b"n_users = 4\r\nn_bands = 3\rnot a setting\r\n")
+    with pytest.raises(ConfigError, match="d.scn:3"):
+        load_scenario(str(old_mac))
+
 
 # ---------------------------------------------------------------- run
 
@@ -126,6 +132,16 @@ def test_run_missing_scenario_is_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(missing),
                  "--out", str(tmp_path / "x")]) == EXIT_IO
     assert "nope.scn" in capsys.readouterr().err
+
+
+def test_run_rejects_a_scenario_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(b"n_users = 4\n\xff\n")
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad.scn" in err and "byte offset 12" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_out_dir_env_default(scenario, tmp_path, monkeypatch, capsys):
@@ -287,6 +303,16 @@ def test_oracle_check_reports_ratios(scenario, capsys):
     final = [l for l in out if l.startswith("final_ratio=")]
     assert len(final) == 1
     assert float(final[0].split("=")[1]) > 0.0
+
+
+def test_oracle_check_runs_the_scenario_slot_count(tmp_path, capsys):
+    path = tmp_path / "three.scn"
+    path.write_text("n_users = 3\nn_bands = 2\nmax_bands_per_user = 1\n"
+                    "n_particles = 4\nn_slots = 3\n")
+    assert main(["oracle-check", "--config", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert [l.split()[0] for l in out if l.startswith("slot=")] == [
+        "slot=0", "slot=1", "slot=2"]
 
 
 @pytest.mark.parametrize("bandwidth", ["1e-3", "0.5"])

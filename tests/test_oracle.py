@@ -17,7 +17,7 @@ from dsapf.powerfill import water_fill_batch
 from reference import WaterFillProblem, solve_per_assignment, water_fill
 
 
-def make_instance(gains_sq, *, availability=None, l=1, rule="uniform",
+def make_instance(gains_sq, *, availability=None, l=1, rule="waterfill",
                   thresholds=None, beta=0.5):
     gains_sq = np.asarray(gains_sq, float)
     n, _, m = gains_sq.shape
@@ -75,8 +75,9 @@ def test_instance_size_guards():
         make_instance(np.ones((2, 2, 5)))
     with pytest.raises(InstanceTooLargeError):
         make_instance(ok, l=3)
-    with pytest.raises(ValueError):
-        make_instance(ok, rule="nearest")
+    for rule in ("nearest", "uniform"):
+        with pytest.raises(ValueError):
+            make_instance(ok, rule=rule)
     with pytest.raises(ValueError):
         TinyInstance(gains_sq=np.ones((2, 3, 2)),
                      availability=np.ones(2, bool), thresholds=np.zeros(2),
@@ -150,13 +151,6 @@ def test_band_relabeling_keeps_score():
     assert s == pytest.approx(s_p, rel=1e-12)
 
 
-def test_waterfill_equals_uniform_for_single_band_users():
-    g = random_gains(np.random.default_rng(9), 3, 3)
-    _, s_uni = solve_exhaustive(make_instance(g, rule="uniform"), "sum")
-    _, s_wf = solve_exhaustive(make_instance(g, rule="waterfill"), "sum")
-    assert s_wf == pytest.approx(s_uni, rel=1e-9)
-
-
 def test_chunking_does_not_change_result(monkeypatch):
     g = random_gains(np.random.default_rng(10), 3, 3)
     inst = make_instance(g)
@@ -171,7 +165,8 @@ def test_chunking_does_not_change_result(monkeypatch):
 
 
 def loop_solve(inst, objective):
-    """Plain-python enumeration of every joint assignment."""
+    """Plain-python enumeration of every joint assignment, each user
+    water-filling against the others' uniform split."""
     n, _, m = inst.gains_sq.shape
     options = band_alphabet(inst.availability, inst.max_bands_per_user)
     best_alloc, best_score = None, -np.inf
@@ -179,26 +174,23 @@ def loop_solve(inst, objective):
         alloc = np.zeros((n, m), dtype=bool)
         for i, bands in enumerate(combo):
             alloc[i, list(bands)] = True
-        power = np.zeros((n, m))
+        uniform = np.zeros((n, m))
         for i, bands in enumerate(combo):
             if not bands:
                 continue
             per = min(inst.p_total_w / len(bands), inst.p_band_cap_w)
-            power[i, list(bands)] = per
-        if inst.power_rule == "waterfill":
-            uniform = power.copy()
-            for i, bands in enumerate(combo):
-                if not bands:
-                    continue
-                idx = list(bands)
-                interf = np.array([
-                    sum(inst.gains_sq[i, k, j] * uniform[k, j]
-                        for k in range(n) if k != i) for j in idx])
-                g_eff = inst.gains_sq[i, i, idx] / (interf + inst.noise_band_w)
-                power[i] = 0.0
-                power[i, idx] = water_fill(WaterFillProblem(
-                    g_eff, inst.p_total_w,
-                    np.full(len(idx), inst.p_band_cap_w)))
+            uniform[i, list(bands)] = per
+        power = np.zeros((n, m))
+        for i, bands in enumerate(combo):
+            if not bands:
+                continue
+            idx = list(bands)
+            interf = np.array([
+                sum(inst.gains_sq[i, k, j] * uniform[k, j]
+                    for k in range(n) if k != i) for j in idx])
+            g_eff = inst.gains_sq[i, i, idx] / (interf + inst.noise_band_w)
+            power[i, idx] = water_fill(WaterFillProblem(
+                g_eff, inst.p_total_w, np.full(len(idx), inst.p_band_cap_w)))
         rewards = np.zeros(n)
         for i in range(n):
             rate = 0.0
@@ -219,7 +211,7 @@ def loop_solve(inst, objective):
 
 
 @pytest.mark.parametrize("objective", ["sum", "maxmin", "proportional_fair"])
-@pytest.mark.parametrize("rule", ["uniform", "waterfill"])
+@pytest.mark.parametrize("rule", ["waterfill"])
 def test_matches_loop_reference(objective, rule):
     gen = np.random.default_rng(12)
     g = random_gains(gen, 3, 3)
@@ -234,14 +226,14 @@ def test_matches_loop_reference(objective, rule):
 def test_matches_loop_reference_two_band_users():
     gen = np.random.default_rng(14)
     g = random_gains(gen, 2, 3)
-    inst = make_instance(g, l=2, rule="waterfill")
+    inst = make_instance(g, l=2)
     alloc, score = solve_exhaustive(inst, "sum")
     want_alloc, want_score = loop_solve(inst, "sum")
     assert score == pytest.approx(want_score, rel=1e-9)
     assert np.array_equal(alloc, want_alloc)
 
 
-@pytest.mark.parametrize("rule", ["uniform", "waterfill"])
+@pytest.mark.parametrize("rule", ["waterfill"])
 @pytest.mark.parametrize("n_users", range(1, 7))
 def test_matches_per_assignment_reference_bit_for_bit(n_users, rule, monkeypatch):
     # Powers derived once per distinct per-user problem must give the very
@@ -278,8 +270,7 @@ def test_waterfill_solves_each_distinct_problem_once(monkeypatch):
         return water_fill_batch(gains, *args)
 
     monkeypatch.setattr(oracle, "water_fill_batch", counting)
-    inst = make_instance(random_gains(np.random.default_rng(15), 5, 4), l=2,
-                         rule="waterfill")
+    inst = make_instance(random_gains(np.random.default_rng(15), 5, 4), l=2)
     solve_exhaustive(inst, "sum")
     # Each user idles or holds one of 6 band pairs, each band shared with
     # any of 2**4 sets of other users; one row per joint assignment and

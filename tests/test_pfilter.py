@@ -2,6 +2,7 @@
 weighting, resampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dsapf.powerfill import water_fill_batch
 from dsapf.system import (Domain, RngStream, SystemConfig, validate,
                           validate_allocation, validate_power)
 
-from reference import WaterFillProblem, water_fill
+from reference import WaterFillProblem, resample_parents, water_fill
 
 
 def small_config(**kw):
@@ -570,3 +571,53 @@ def test_resample_draw_layout_is_pinned():
         parents = np.searchsorted(cumulative, (u0 + np.arange(8)) / 8)
         assert np.array_equal(pset.selections[a], before[a, parents])
     assert np.array_equal(pset.selections[1], before[1])
+
+
+class FixedOffsets:
+    """Stands in for a resampling stream whose one draw is ``offsets``."""
+
+    def __init__(self, offsets):
+        self.offsets = np.asarray(offsets, dtype=float)
+
+    def generator(self):
+        return self
+
+    def random(self, size):
+        assert size == len(self.offsets)
+        return self.offsets
+
+
+@pytest.mark.parametrize("n_particles", [1, 2, 3, 10, 64])
+def test_resample_matches_quadratic_reference(n_particles):
+    # Dirichlet rows, rows with zero weights, one-particle spikes and
+    # near-zero rows whose cumulative sum ends far from 1, at offsets
+    # including 0 and the largest double below 1.
+    gen = np.random.default_rng(n_particles)
+    rows = 600
+    weights = gen.dirichlet(np.full(n_particles, 0.3), size=rows)
+    weights[::3] *= gen.random(weights[::3].shape) > 0.5
+    weights[1::5] = np.eye(n_particles)[gen.integers(0, n_particles, rows // 5)]
+    weights[2::7] *= 1e-300
+    u0 = gen.random(rows)
+    u0[::4] = np.nextafter(1.0, 0.0)
+    u0[1::9] = 0.0
+    pset = pset_of(np.broadcast_to(np.eye(n_particles, dtype=bool),
+                                   (rows, n_particles, n_particles)), max_bands=1)
+    pset.weights = weights.copy()
+    systematic_resample(pset, list(range(rows)), FixedOffsets(u0))
+    assert np.array_equal(pset.selections.argmax(axis=2),
+                          resample_parents(weights, u0))
+
+
+def test_resample_memory_is_linear_in_particles():
+    # A (particles, particles) comparison would peak at 16 MB here.
+    n_particles = 4000
+    pset = pset_of(np.eye(4, dtype=bool)[np.arange(n_particles) % 4], max_bands=1)
+    pset.weights = np.random.default_rng(0).dirichlet(np.ones(n_particles))[None]
+    tracemalloc.start()
+    try:
+        systematic_resample(pset, [0], RngStream(0, (9, 6)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
