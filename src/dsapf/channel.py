@@ -24,6 +24,10 @@ from .system import Domain, RngStream, ValidatedConfig, derive_substream
 # default scenario sits in the mixed noise/interference regime where both
 # power and band choices matter.
 AREA_SIDE_FACTOR = 175.0
+# The path-loss exponent and the mean direct-link gain over the mean
+# cross-link gain [dB] that AREA_SIDE_FACTOR is calibrated for.
+PATH_LOSS_EXPONENT = 3.0
+DIRECT_GAIN_ADVANTAGE_DB = 3.0
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -94,21 +98,21 @@ def mean_gain_matrix(config: ValidatedConfig, rng: RngStream) -> np.ndarray:
 
     Pairs are dropped uniformly in a square of side AREA_SIDE_FACTOR, in
     units of the reference distance; the gain of the link between pair k's
-    transmitter and pair i's receiver follows (1 / max(d_ik, 1))**eta.  Only
-    the ratio of distance to reference distance enters the gain, so the
-    reference distance itself is not a parameter.  Direct links
-    (the diagonal) are then set so their mean sits exactly
-    ``direct_gain_advantage_db`` above the mean cross-link gain.
+    transmitter and pair i's receiver follows
+    (1 / max(d_ik, 1))**PATH_LOSS_EXPONENT.  Only the ratio of distance to
+    reference distance enters the gain, so the reference distance itself is
+    not a parameter.  Direct links (the diagonal) are then set so their mean
+    sits exactly DIRECT_GAIN_ADVANTAGE_DB above the mean cross-link gain.
     """
     n = config.n_users
     gen = derive_substream(rng, Domain.GEOMETRY).generator()
     points = gen.uniform(0.0, AREA_SIDE_FACTOR, size=(n, 2))
     delta = points[:, None, :] - points[None, :, :]
     dist = np.maximum(np.hypot(delta[..., 0], delta[..., 1]), 1.0)
-    gain = (1.0 / dist) ** config.path_loss_exponent
+    gain = (1.0 / dist) ** PATH_LOSS_EXPONENT
     if n > 1:
         off_diag = gain[~np.eye(n, dtype=bool)]
-        advantage = 10.0 ** (config.direct_gain_advantage_db / 10.0)
+        advantage = 10.0 ** (DIRECT_GAIN_ADVANTAGE_DB / 10.0)
         np.fill_diagonal(gain, advantage * off_diag.mean())
     return gain
 

@@ -7,10 +7,10 @@ Subcommands:
 * ``oracle-check``  tiny scenario -> per-slot ratio against the exhaustive optimum
 
 Scenario files are flat ``key = value`` text (``#`` comments); keys mirror
-``SystemConfig`` fields and every field has a default, so an empty file is a
-valid scenario.  Exit codes: 0 success, 2 bad configuration or arguments,
-3 I/O failure.  The ``DSA_PF_OUT`` environment variable overrides the
-default output directory.
+``SystemConfig`` fields, each set at most once, and every field has a
+default, so an empty file is a valid scenario.  Exit codes: 0 success,
+2 bad configuration or arguments, 3 I/O failure.  The ``DSA_PF_OUT``
+environment variable overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ _CONVERT = _converters()
 
 def load_scenario(path: str | None) -> SystemConfig:
     """Parse a scenario file; None or an empty file yields the defaults."""
-    values = {}
+    values, first_line = {}, {}
     if path is not None:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -80,6 +80,10 @@ def load_scenario(path: str | None) -> SystemConfig:
             key = key.strip()
             if key not in _FIELD_NAMES:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: repeated key '{key}' "
+                                  f"(first set on line {first_line[key]})")
+            first_line[key] = lineno
             try:
                 values[key] = _CONVERT[key](value)
             except ValueError as exc:

@@ -24,9 +24,12 @@ from .primary_user import occupancy, sample_availability
 from .system import (Domain, RngStream, SystemConfig, ValidatedConfig,
                      derive_substream, validate_allocation, validate_power)
 
-# Weight of the newest observation in the running reward mean that scales
-# the reweighting likelihood.
+# Reweighting policy: the weight of the newest reward in each agent's running
+# reward mean, the likelihood width as a fraction of that mean, and the ESS
+# below which an agent resamples, as a fraction of the particle count.
 REWARD_EMA_WEIGHT = 0.1
+LIKELIHOOD_SIGMA_FRAC = 0.25
+ESS_THRESHOLD_FRAC = 0.5
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,6 @@ class RunSummary:
     avg_jain: float
     total_messages: int
     config: SystemConfig
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -117,14 +119,13 @@ def run(config: ValidatedConfig,
                            cfg.bandwidth_hz, cfg.noise_band_w)
         rewards = elastic_reward(rates, thresholds, cfg.beta)
 
-        mean = pset.running_reward_mean
-        pset.running_reward_mean = (rewards.copy() if mean is None else
-                                    (1.0 - REWARD_EMA_WEIGHT) * mean
-                                    + REWARD_EMA_WEIGHT * rewards)
+        reward_mean = (rewards.copy() if t == 0 else
+                       (1.0 - REWARD_EMA_WEIGHT) * reward_mean
+                       + REWARD_EMA_WEIGHT * rewards)
         update_weights(pset, rewards, hypothetical,
-                       cfg.likelihood_sigma_frac * pset.running_reward_mean)
+                       LIKELIHOOD_SIGMA_FRAC * reward_mean)
         low = np.flatnonzero(effective_sample_size(pset)
-                             < cfg.ess_threshold_frac * cfg.n_particles)
+                             < ESS_THRESHOLD_FRAC * cfg.n_particles)
         if low.size:
             systematic_resample(
                 pset, low, derive_substream(root, (Domain.PARTICLE_RESAMPLE, t)))
@@ -146,7 +147,6 @@ def run(config: ValidatedConfig,
         avg_jain=float(np.mean([r.jain for r in records])),
         total_messages=messages_per_slot * t_total,
         config=cfg.base,
-        seed=cfg.seed,
     )
     return summary, records
 

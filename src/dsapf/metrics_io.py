@@ -44,7 +44,7 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 
 def summary_row(summary: RunSummary) -> list:
     cfg = summary.config
-    return [summary.seed, cfg.objective, cfg.n_users, cfg.n_bands,
+    return [cfg.seed, cfg.objective, cfg.n_users, cfg.n_bands,
             cfg.max_bands_per_user, cfg.n_particles, cfg.pu_busy_prob,
             summary.per_user_avg_throughput, summary.avg_jain,
             summary.total_messages]

@@ -27,17 +27,14 @@ from .system import RngStream, ValidatedConfig
 class ParticleSet:
     """Every agent's particle population.
 
-    ``selections`` is a boolean (agents, particles, bands) array,
+    ``selections`` is a boolean (agents, particles, bands) array and
     ``weights`` the matching (agents, particles) rows on the probability
-    simplex, and ``running_reward_mean`` an (agents,) exponentially smoothed
-    record of observed rewards that sets the scale of the reweighting
-    likelihood (None before the first observation).
+    simplex.
     """
 
     selections: np.ndarray
     weights: np.ndarray
     max_bands: int
-    running_reward_mean: np.ndarray | None = None
 
 
 def _top_k(keys: np.ndarray, k: int) -> np.ndarray:

@@ -39,14 +39,10 @@ class SystemConfig:
     noise_psd_dbm_hz: float = -100.0  # noise power spectral density [dBm/Hz]
     beta: float = 0.5               # reward decay below the rate threshold
     rate_threshold_range_bps: tuple[float, float] = (0.0, 1e4)  # per-user demand draw
-    path_loss_exponent: float = 3.0
-    direct_gain_advantage_db: float = 3.0  # mean direct gain over mean cross gain
     doppler_coherence_product: float = 0.05  # doppler frequency x slot duration
     pu_busy_prob: float = 0.0       # per-band chance the licensed owner is active
     objective: str = "sum"          # intrinsic | sum | maxmin | proportional_fair
-    likelihood_sigma_frac: float = 0.25  # reward-likelihood width vs. running mean
     mutation_prob: float = 0.2      # per-band particle mutation probability
-    ess_threshold_frac: float = 0.5  # resample when ESS drops below this x n_particles
     n_slots: int = 20               # simulated time slots
     seed: int = 0                   # root seed; one seed == one trajectory
 
@@ -68,7 +64,7 @@ class ValidatedConfig:
         return getattr(object.__getattribute__(self, "base"), name)
 
 
-# Levels in dB or dBm stay within +-MAX_LEVEL_DB and magnitudes (bandwidth,
+# dBm levels stay within +-MAX_LEVEL_DB and magnitudes (bandwidth,
 # doppler product) within MAX_MAGNITUDE of their unit, so every
 # linear power, gain and bandwidth lies in [1e-30, 1e30] and no product of
 # them formed during a run can overflow or underflow float64.
@@ -115,18 +111,11 @@ def validate(config: SystemConfig) -> ValidatedConfig:
     lo, hi = c.rate_threshold_range_bps
     if not (0.0 <= lo <= hi and math.isfinite(hi)):
         fail("rate_threshold_range_bps must satisfy 0 <= low <= high < inf")
-    if not (c.path_loss_exponent > 0.0 and math.isfinite(c.path_loss_exponent)):
-        fail("path_loss_exponent must be finite and > 0")
-    within("direct_gain_advantage_db", 0.0, MAX_LEVEL_DB)
     within("doppler_coherence_product", 0.0, MAX_MAGNITUDE)
     within("pu_busy_prob", 0.0, 1.0)
     if c.objective not in OBJECTIVE_NAMES:
         fail("objective must be one of " + ", ".join(OBJECTIVE_NAMES))
-    if not (c.likelihood_sigma_frac > 0.0 and math.isfinite(c.likelihood_sigma_frac)):
-        fail("likelihood_sigma_frac must be finite and > 0")
     within("mutation_prob", 0.0, 1.0)
-    if not 0.0 < c.ess_threshold_frac <= 1.0:
-        fail("ess_threshold_frac must be in (0, 1]")
     if not _is_int(c.n_slots) or c.n_slots < 1:
         fail("n_slots must be an integer >= 1")
     if not _is_int(c.seed) or not 0 <= c.seed < 2**64:
@@ -206,13 +195,13 @@ BUDGET_RTOL = 1e-9
 
 
 def validate_power(power_w: np.ndarray, alloc: np.ndarray, p_total_max_w: float,
-                   p_band_max_w: float, rel_tol: float = BUDGET_RTOL) -> None:
+                   p_band_max_w: float) -> None:
     """Raise if powers are negative, off-allocation, or over budget/cap."""
     if np.any(power_w < 0.0):
         raise ValueError("negative transmit power")
     if np.any((power_w > 0.0) & ~alloc):
         raise ValueError("transmit power on an unselected band")
-    if np.any(power_w > p_band_max_w * (1.0 + rel_tol)):
+    if np.any(power_w > p_band_max_w * (1.0 + BUDGET_RTOL)):
         raise ValueError("per-band power cap exceeded")
-    if np.any(power_w.sum(axis=1) > p_total_max_w * (1.0 + rel_tol)):
+    if np.any(power_w.sum(axis=1) > p_total_max_w * (1.0 + BUDGET_RTOL)):
         raise ValueError("total power budget exceeded")

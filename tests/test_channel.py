@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import dsapf
-from dsapf.channel import (AREA_SIDE_FACTOR, ArCoefficients, ChannelTensor, _j0,
+from dsapf.channel import (AREA_SIDE_FACTOR, DIRECT_GAIN_ADVANTAGE_DB,
+                           ArCoefficients, ChannelTensor, _j0,
                            ar_coefficients, init_channels, mean_gain_matrix,
                            predict_channels, step_channels)
 from dsapf.system import Domain, RngStream, SystemConfig, derive_substream, validate
@@ -90,7 +91,7 @@ def test_mean_gain_geometry_properties():
     # distances clamp at the reference distance, so raw gains never top 1
     assert np.all(off <= 1.0) and np.all(off > 0.0)
     # direct links sit exactly 3 dB above the mean cross link
-    advantage = 10.0 ** (cfg.direct_gain_advantage_db / 10.0)
+    advantage = 10.0 ** (DIRECT_GAIN_ADVANTAGE_DB / 10.0)
     assert np.allclose(np.diag(gain), advantage * off.mean(), rtol=1e-12)
     # regenerating with the same stream reproduces the layout
     again = mean_gain_matrix(cfg, RngStream(3))

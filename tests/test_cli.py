@@ -112,6 +112,8 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("ar_order = 2\n", "unknown key 'ar_order'"),
     ("reference_distance_m = 2\n", "unknown key 'reference_distance_m'"),
+    ("path_loss_exponent = 4\n", "unknown key 'path_loss_exponent'"),
+    ("n_users = 6\n", "bad.scn:4: repeated key 'n_users' (first set on line 1)"),
     ("bandwidth_hz = inf\n", "bandwidth_hz"),
     ("beta = nan\n", "beta"),
     ("doppler_coherence_product = nan\n", "doppler_coherence_product"),

@@ -137,6 +137,22 @@ def test_slot_hook_sees_every_slot_in_order():
         assert np.array_equal(snap.alloc, rec.alloc)
 
 
+def test_availability_is_sampled_once_per_slot_by_its_engine_name(monkeypatch):
+    # The benchmark replaces dsapf.engine.sample_availability to mark where
+    # set-up ends, so the slot loop must call it by that name, once a slot.
+    import dsapf.engine as engine
+    inner = engine.sample_availability
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "sample_availability", counting)
+    run(make_config(n_slots=7))
+    assert len(calls) == 7
+
+
 def test_slot_outputs_are_writeable():
     # the engine hands out its per-slot arrays as plain arrays; none of them
     # is frozen behind the caller's back, on any slot
@@ -182,6 +198,6 @@ def test_summary_aggregates_match_records():
         np.mean([r.jain for r in records]), abs=1e-12)
     assert summary.per_user_avg_throughput == pytest.approx(
         np.mean([r.realized_rates.mean() for r in records]), rel=1e-12)
-    assert summary.seed == 21
+    assert summary.config.seed == 21
     assert summary.config.n_users == 5
 

@@ -43,7 +43,6 @@ def test_init_sizes_weights_and_feasibility():
     assert pset.weights.shape == (3, 8)
     assert np.allclose(pset.weights, 1.0 / 8)
     assert pset.max_bands == 2
-    assert pset.running_reward_mean is None
 
 
 def test_init_is_deterministic_per_stream():

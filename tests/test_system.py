@@ -45,16 +45,16 @@ def test_validate_defaults_and_derived_units():
     (dict(beta=-0.1), "beta"),
     (dict(rate_threshold_range_bps=(-1.0, 1.0)), "rate_threshold_range_bps"),
     (dict(rate_threshold_range_bps=(2.0, 1.0)), "rate_threshold_range_bps"),
-    (dict(path_loss_exponent=0.0), "path_loss_exponent"),
-    (dict(path_loss_exponent=float("nan")), "path_loss_exponent"),
-    (dict(direct_gain_advantage_db=-1.0), "direct_gain_advantage_db"),
-    (dict(direct_gain_advantage_db=float("nan")), "direct_gain_advantage_db"),
+    (dict(mutation_prob=1.5), "mutation_prob"),
+    (dict(pu_busy_prob=-0.1), "pu_busy_prob"),
+    (dict(bandwidth_hz=-1.0), "bandwidth_hz"),
+    (dict(objective=""), "objective"),
     (dict(doppler_coherence_product=-0.1), "doppler_coherence_product"),
     (dict(pu_busy_prob=1.5), "pu_busy_prob"),
     (dict(objective="bogus"), "objective"),
-    (dict(likelihood_sigma_frac=0.0), "likelihood_sigma_frac"),
+    (dict(n_particles=2.0), "n_particles"),
     (dict(mutation_prob=-0.2), "mutation_prob"),
-    (dict(ess_threshold_frac=0.0), "ess_threshold_frac"),
+    (dict(n_slots=3.0), "n_slots"),
     (dict(n_slots=0), "n_slots"),
     (dict(seed=-1), "seed"),
     (dict(seed=2**64), "seed"),
@@ -65,14 +65,14 @@ def test_validate_defaults_and_derived_units():
     (dict(beta=float("inf")), "beta"),
     (dict(doppler_coherence_product=float("nan")), "doppler_coherence_product"),
     (dict(doppler_coherence_product=float("inf")), "doppler_coherence_product"),
-    (dict(direct_gain_advantage_db=float("inf")), "direct_gain_advantage_db"),
+    (dict(mutation_prob=float("nan")), "mutation_prob"),
     (dict(pu_busy_prob=float("nan")), "pu_busy_prob"),
-    (dict(ess_threshold_frac=float("nan")), "ess_threshold_frac"),
+    (dict(p_total_max_dbm=float("nan")), "p_total_max_dbm"),
     (dict(rate_threshold_range_bps=(float("nan"), float("nan"))),
      "rate_threshold_range_bps"),
     (dict(rate_threshold_range_bps=(0.0, float("inf"))), "rate_threshold_range_bps"),
-    (dict(path_loss_exponent=float("inf")), "path_loss_exponent"),
-    (dict(likelihood_sigma_frac=float("inf")), "likelihood_sigma_frac"),
+    (dict(noise_psd_dbm_hz=float("nan")), "noise_psd_dbm_hz"),
+    (dict(mutation_prob=float("inf")), "mutation_prob"),
     # dBm levels whose linear value overflows or underflows
     (dict(p_total_max_dbm=4000.0), "p_total_max_dbm"),
     (dict(noise_psd_dbm_hz=-4000.0), "noise_psd_dbm_hz"),
@@ -148,13 +148,12 @@ def test_validate_boundary_values_accepted():
 
 
 @pytest.mark.parametrize("extremes", [
-    # loudest corner: top power and direct gain over the quietest noise
+    # loudest corner: top power over the quietest noise on the narrowest band
     dict(p_total_max_dbm=300.0, p_band_max_dbm=300.0, noise_psd_dbm_hz=-300.0,
-         direct_gain_advantage_db=300.0, bandwidth_hz=1e-30,
-         rate_threshold_range_bps=(0.0, 1.7e308)),
+         bandwidth_hz=1e-30, rate_threshold_range_bps=(0.0, 1.7e308)),
     # quietest corner: least power into the loudest noise over the widest band
     dict(p_total_max_dbm=-300.0, p_band_max_dbm=-300.0, noise_psd_dbm_hz=300.0,
-         bandwidth_hz=1e30, path_loss_exponent=1e300, beta=1e308,
+         bandwidth_hz=1e30, beta=1e308,
          doppler_coherence_product=1e30),
 ])
 def test_range_limits_are_accepted_and_run_finite(extremes):
