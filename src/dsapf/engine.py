@@ -35,7 +35,8 @@ ESS_THRESHOLD_FRAC = 0.5
 @dataclass(frozen=True)
 class SlotRecord:
     """Realized outcome of one slot; ``alloc`` is the boolean (users, bands)
-    selection every user transmitted on."""
+    selection of each user's bands.  A selected band can get zero power,
+    which adds nothing to any rate."""
 
     slot: int
     realized_rates: np.ndarray

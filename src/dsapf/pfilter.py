@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .objectives import ObjectiveKind, evaluate_batch
-from .phy import elastic_reward, shannon_rates
+from .phy import INV_LN2, elastic_reward, shannon_rates
 from .powerfill import water_fill_batch
 from .system import RngStream, ValidatedConfig
 
@@ -95,7 +95,9 @@ def decide(pset: ParticleSet, config: ValidatedConfig, gains_sq: np.ndarray,
     spends power there.  Another user's rate is computed only on the bands
     it transmits on in ``power_w``: elsewhere its signal is 0, which adds
     exactly 0, so the scores equal those of a sum over every band bit for
-    bit.
+    bit.  Two terms sum alike in any order; three or more are summed at
+    their places on the full band axis, where NumPy groups them as it would
+    there.
 
     Returns ``(alloc, power, scores, self_rewards)``: the chosen (agents,
     bands) selections and powers, and the (agents, particles) scores and
@@ -138,11 +140,21 @@ def decide(pset: ParticleSet, config: ValidatedConfig, gains_sq: np.ndarray,
         base = (np.take_along_axis(rest, bands, axis=1)[None]
                 - from_agent * power_w[:, bands])
         heard = np.take_along_axis(signal, bands, axis=1)
+        band_avail = availability[bands]
+        # Three or more terms go to their full-axis places (see above); the
+        # places are the same on every pass, so the rest of buf stays 0.
+        wide = bands.shape[1] > 2
+        if wide:
+            buf = np.zeros((n, n, m))
+            at = (rx[:, None] * m + bands).ravel()
         scores = np.empty((n, n_particles))
         for p in range(n_particles):
             interf = np.maximum(base + from_agent * powers[:, p][:, bands], 0.0)
-            rates = shannon_rates(heard / (interf + noise), availability,
-                                  bandwidth, bands=bands[None])
+            terms = np.log1p(heard / (interf + noise)) * band_avail
+            if wide:
+                buf.reshape(n, -1)[:, at] = terms.reshape(n, -1)
+                terms = buf
+            rates = bandwidth * INV_LN2 * terms.sum(axis=-1)
             rewards = elastic_reward(rates, thresholds, config.beta)
             rewards[rx, rx] = own_reward[:, p]
             scores[:, p] = evaluate_batch(objective, rewards)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .system import Domain, RngStream, ValidatedConfig, derive_substream
 
-_INV_LN2 = 1.0 / np.log(2.0)
+INV_LN2 = 1.0 / np.log(2.0)
 
 
 def sinr(user: int, band: int, alloc: np.ndarray, power_w: np.ndarray,
@@ -50,26 +50,10 @@ def sinr_matrix(alloc: np.ndarray, power_w: np.ndarray, gains_sq: np.ndarray,
 
 
 def shannon_rates(snr: np.ndarray, availability: np.ndarray,
-                  bandwidth_hz: float,
-                  bands: np.ndarray | None = None) -> np.ndarray:
+                  bandwidth_hz: float) -> np.ndarray:
     """Shannon rate B*log2(1+snr) summed over the available bands (last
-    axis) [bit/s].
-
-    With ``bands`` (integers, broadcast against ``snr``), ``snr[..., c]`` is
-    the SNR on band ``bands[..., c]`` and every other band has SNR 0, so
-    adds exactly 0.  The result equals the full-width sum bit for bit: two
-    terms sum alike in any order, and three or more are summed at their
-    places on the full band axis, where NumPy groups them as it would there.
-    """
-    if bands is None:
-        terms = np.log1p(snr) * availability
-    else:
-        terms = np.log1p(snr) * availability[bands]
-        if terms.shape[-1] > 2:
-            full = np.zeros(terms.shape[:-1] + availability.shape)
-            np.put_along_axis(full, bands, terms, axis=-1)
-            terms = full
-    return bandwidth_hz * _INV_LN2 * terms.sum(axis=-1)
+    axis) [bit/s]."""
+    return bandwidth_hz * INV_LN2 * (np.log1p(snr) * availability).sum(axis=-1)
 
 
 def user_rates(alloc: np.ndarray, power_w: np.ndarray, gains_sq: np.ndarray,

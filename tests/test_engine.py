@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dsapf.channel import ar_coefficients
 from dsapf.engine import jain_index, run
 from dsapf.phy import draw_rate_thresholds, elastic_reward
 from dsapf.system import RngStream, SystemConfig, validate
@@ -151,6 +152,101 @@ def test_availability_is_sampled_once_per_slot_by_its_engine_name(monkeypatch):
     monkeypatch.setattr(engine, "sample_availability", counting)
     run(make_config(n_slots=7))
     assert len(calls) == 7
+
+
+def _select_busy_bands(alloc, power, available):
+    alloc[:, ~available] = True
+    return alloc, power
+
+
+def _overspend_budget(alloc, power, available):
+    return alloc, 1.01 * power
+
+
+@pytest.mark.parametrize("spoil, kw, message", [
+    (_select_busy_bands, dict(pu_busy_prob=0.5),
+     "band the licensed owner occupies"),
+    # a cap above the budget, so the water-fill spends the whole budget and
+    # only the budget check can fire
+    (_overspend_budget, dict(p_band_max_dbm=9.0), "total power budget exceeded"),
+], ids=["busy-band", "over-budget"])
+def test_run_rejects_a_decision_that_breaks_an_invariant(monkeypatch, spoil,
+                                                          kw, message):
+    import dsapf.engine as engine
+    inner = engine.decide
+
+    def spoiled(pset, config, gains_sq, power_w, availability, thresholds):
+        alloc, power, scores, own = inner(pset, config, gains_sq, power_w,
+                                          availability, thresholds)
+        return (*spoil(alloc, power, availability), scores, own)
+
+    monkeypatch.setattr(engine, "decide", spoiled)
+    with pytest.raises(ValueError, match=message):
+        run(make_config(**kw))
+
+
+def test_reweighting_and_prediction_follow_their_rules(monkeypatch):
+    # (a) the likelihood width is LIKELIHOOD_SIGMA_FRAC times the running
+    # mean of the realized rewards, seeded with slot 0's; (b) exactly the
+    # agents whose reweighted ESS is below the threshold resample, in
+    # ascending order; (c) decide sees a1^2 times the last realized gains.
+    import dsapf.engine as engine
+    cfg = make_config(n_users=8, n_bands=4, max_bands_per_user=2, n_slots=12)
+    real = {name: getattr(engine, name) for name in (
+        "decide", "update_weights", "effective_sample_size",
+        "systematic_resample")}
+    seen = {"gains": [], "sigma": [], "weights": [], "ess": [], "resampled": {}}
+
+    def decide(pset, config, gains_sq, *args):
+        seen["gains"].append(gains_sq.copy())
+        return real["decide"](pset, config, gains_sq, *args)
+
+    def update_weights(pset, observed, predicted, sigma_r):
+        seen["sigma"].append(np.array(sigma_r))
+        out = real["update_weights"](pset, observed, predicted, sigma_r)
+        seen["weights"].append(pset.weights.copy())
+        return out
+
+    def effective_sample_size(pset):
+        ess = real["effective_sample_size"](pset)
+        seen["ess"].append(ess.copy())
+        return ess
+
+    def systematic_resample(pset, agents, rng):
+        slot = len(seen["gains"]) - 1
+        assert slot not in seen["resampled"]
+        seen["resampled"][slot] = list(agents)
+        return real["systematic_resample"](pset, agents, rng)
+
+    for fn in (decide, update_weights, effective_sample_size,
+               systematic_resample):
+        monkeypatch.setattr(engine, fn.__name__, fn)
+    snaps = []
+    _, records = run(cfg, slot_hook=snaps.append)
+    assert len(seen["sigma"]) == len(seen["ess"]) == cfg.n_slots
+
+    mean = records[0].realized_rewards
+    for t, rec in enumerate(records):
+        if t:
+            mean = ((1.0 - engine.REWARD_EMA_WEIGHT) * mean
+                    + engine.REWARD_EMA_WEIGHT * rec.realized_rewards)
+        assert np.array_equal(seen["sigma"][t],
+                              engine.LIKELIHOOD_SIGMA_FRAC * mean)
+
+    want = {}
+    for t, weights in enumerate(seen["weights"]):
+        ess = 1.0 / np.square(weights).sum(axis=1)
+        assert np.allclose(seen["ess"][t], ess, rtol=1e-12)
+        low = np.flatnonzero(ess < engine.ESS_THRESHOLD_FRAC * cfg.n_particles)
+        if low.size:
+            want[t] = low.tolist()
+    assert seen["resampled"] == want
+    assert 0 < len(want) < cfg.n_slots   # the run both resamples and skips
+
+    a1 = ar_coefficients(cfg.doppler_coherence_product).a1
+    for t in range(1, cfg.n_slots):
+        assert np.allclose(seen["gains"][t], a1 * a1 * snaps[t - 1].gains_sq,
+                           rtol=1e-12, atol=0.0)
 
 
 def test_slot_outputs_are_writeable():

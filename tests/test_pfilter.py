@@ -389,6 +389,10 @@ EXACT_CASES = {
     "slot-zero-silence": (4, 10, 3, [0, 0, 0, 0], []),
     "busy-bands": (6, 8, 3, [3, 3, 2, 4, 1, 3], [1, 6]),
     "one-user": (1, 9, 4, [5], [3]),
+    # past NumPy's 128-element pairwise block, and four terms on fewer than
+    # 8 bands; named to sort last, so the other cases keep their seeds
+    "wider-than-one-pairwise-block": (3, 130, 40, [40, 3, 17], [7, 90]),
+    "wider-than-two-terms-on-five-bands": (4, 5, 3, [4, 2, 4, 3], []),
 }
 
 

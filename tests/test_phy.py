@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dsapf.phy import (draw_rate_thresholds, elastic_reward, shannon_rates,
-                       sinr, sinr_matrix, throughput, user_rates)
+from dsapf.phy import (draw_rate_thresholds, elastic_reward, sinr,
+                       sinr_matrix, throughput, user_rates)
 from dsapf.system import RngStream, SystemConfig, validate
 
 
@@ -83,21 +83,6 @@ def test_vectorized_rates_match_scalar_route():
                     sinr(i, j, alloc, power, gains, noise), rel=1e-12)
             else:
                 assert snr[i, j] == 0.0
-
-
-@pytest.mark.parametrize("m, width", [(5, 2), (5, 4), (12, 2), (12, 3),
-                                      (12, 9), (130, 40)])
-def test_rates_on_listed_bands_equal_the_full_sum_bitwise(m, width):
-    # rows of (3, 4) receivers, each with SNR only on its own listed bands
-    gen = np.random.default_rng(m * 100 + width)
-    bands = np.argsort(gen.random((4, m)), axis=1)[:, :width]
-    listed = 10.0 ** gen.uniform(-3.0, 3.0, size=(3, 4, width))
-    listed[:, 1, width // 2:] = 0.0     # a receiver padded with silent bands
-    full = np.zeros((3, 4, m))
-    np.put_along_axis(full, np.broadcast_to(bands, listed.shape), listed, axis=-1)
-    avail = gen.random(m) < 0.8
-    got = shannon_rates(listed, avail, 1e6, bands=bands[None])
-    assert got.tobytes() == shannon_rates(full, avail, 1e6).tobytes()
 
 
 def test_elastic_reward_above_threshold_is_identity():
