@@ -8,8 +8,10 @@ choices under that power rule, not an upper bound on what the filters reach.
 
 A user's powers depend only on its option and on which other users share
 its bands, so each distinct per-user water-fill is solved once per instance
-and gathered back to every joint assignment; the scores match water-filling
-each assignment afresh bit for bit.
+and gathered back to every joint assignment.  Rates are then computed per
+(user, option) slice of the joint assignments, only on that option's bands,
+and all assignments are scored in one pass with no chunking.  The scores
+match water-filling and rating each assignment afresh bit for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import ObjectiveKind, evaluate, evaluate_batch
-from .phy import elastic_reward, user_rates
+from .phy import INV_LN2, elastic_reward
 from .powerfill import water_fill_batch
-
-_CHUNK = 16384
 
 
 class InstanceTooLargeError(ValueError):
@@ -149,6 +149,44 @@ def _waterfill_rows(inst: TinyInstance,
     return rows, row_of
 
 
+def _assignment_rates(inst: TinyInstance, table: np.ndarray, rows: np.ndarray,
+                      row_of: np.ndarray) -> np.ndarray:
+    """Every user's rate in every joint assignment, (assignments, users).
+
+    An idle user's rate is 0, and a user on option o transmits only on o's
+    bands, all of them open, so each (user, option) computes its rate on
+    those bands alone, over the assignments where the user holds that
+    option: ``row_of`` viewed as the grid of joint assignments, taken at o
+    along the user's axis.  The received power is summed over transmitters
+    k in ascending order, as the einsum in ``phy.sinr_matrix`` sums it, and
+    a user's (at most two) band terms add to the same value whatever zero
+    terms surround them, so every rate equals ``phy.user_rates`` on the
+    full (assignments, users, bands) tensors bit for bit.
+    """
+    n = inst.gains_sq.shape[0]
+    n_options = table.shape[0]
+    grid = (n_options,) * n
+    row_grid = row_of.reshape(grid + (n,))
+    rates = np.zeros((n_options ** n, n))
+    rate_grid = rates.reshape(grid + (n,))
+    columns = np.ascontiguousarray(rows.T)
+    scale = inst.bandwidth_hz * INV_LN2
+    for i in range(n):
+        for o in range(1, n_options):
+            held = row_grid.take(o, axis=i)
+            total = 0.0
+            for j in np.flatnonzero(table[o]):
+                power = columns[j][held]
+                received = inst.gains_sq[i, 0, j] * power[..., 0]
+                for k in range(1, n):
+                    received += inst.gains_sq[i, k, j] * power[..., k]
+                signal = inst.gains_sq[i, i, j] * power[..., i]
+                interference = np.maximum(received - signal, 0.0)
+                total = total + np.log1p(signal / (interference + inst.noise_band_w))
+            rate_grid[(slice(None),) * i + (o, Ellipsis, i)] = scale * total
+    return rates
+
+
 def solve_exhaustive(inst: TinyInstance, objective) -> tuple[np.ndarray, float]:
     """Best joint allocation and its score under ``evaluate_batch``; ties
     break to the lexicographically first assignment."""
@@ -157,30 +195,17 @@ def solve_exhaustive(inst: TinyInstance, objective) -> tuple[np.ndarray, float]:
     m = inst.availability.size
     options = band_alphabet(inst.availability, inst.max_bands_per_user)
     n_options = len(options)
-    total = n_options ** n
 
     table = np.zeros((n_options, m), dtype=bool)
     for idx, bands in enumerate(options):
         table[idx, list(bands)] = True
-    # Digit weights make assignment index == lexicographic rank.
-    weights = n_options ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows, row_of = _waterfill_rows(inst, table)
-
-    best_score = -np.inf
-    best_alloc = np.zeros((n, m), dtype=bool)
-    for start in range(0, total, _CHUNK):
-        indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (indices[:, None] // weights[None, :]) % n_options
-        alloc = table[digits]
-        power = rows[row_of[start:start + _CHUNK]]
-        rates = user_rates(alloc, power, inst.gains_sq, inst.availability,
-                           inst.bandwidth_hz, inst.noise_band_w)
-        scores = evaluate_batch(kind, elastic_reward(rates, inst.thresholds, inst.beta))
-        pick = int(np.argmax(scores))
-        if scores[pick] > best_score:
-            best_score = float(scores[pick])
-            best_alloc = alloc[pick].copy()
-    return best_alloc, best_score
+    rates = _assignment_rates(inst, table, rows, row_of)
+    scores = evaluate_batch(kind, elastic_reward(rates, inst.thresholds, inst.beta))
+    pick = int(np.argmax(scores))
+    # Assignment index == lexicographic rank: user u's option is digit u.
+    digits = pick // n_options ** np.arange(n - 1, -1, -1) % n_options
+    return table[digits], float(scores[pick])
 
 
 def compare(config, snapshots):

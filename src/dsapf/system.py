@@ -71,6 +71,15 @@ class ValidatedConfig:
 MAX_LEVEL_DB = 300.0
 MAX_MAGNITUDE = 1e30
 
+# Cap on n_users**2 * n_bands, the entries of one (receiver, transmitter,
+# band) link tensor.  A slot keeps about seven float64 arrays of that size
+# alive at once: the complex fading state (two), the two noise planes of
+# its AR(1) step, gains_sq, predicted_sq and decide's buffer, so 56 bytes
+# per entry.  At the cap that is 2.8 GB, which a workstation holds; the
+# default 200-user, 15-band scenario sits 83 times below it.  Beyond it the
+# first allocations fail with a MemoryError instead of a named field.
+MAX_LINK_ENTRIES = 50_000_000
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -96,6 +105,9 @@ def validate(config: SystemConfig) -> ValidatedConfig:
         fail("n_users must be an integer >= 1")
     if not _is_int(c.n_bands) or c.n_bands < 1:
         fail("n_bands must be an integer >= 1")
+    if c.n_users ** 2 * c.n_bands > MAX_LINK_ENTRIES:
+        fail(f"n_users**2 * n_bands must be <= {MAX_LINK_ENTRIES:,} "
+             "(one n_users x n_users x n_bands link tensor)")
     if not _is_int(c.max_bands_per_user) or c.max_bands_per_user < 1:
         fail("max_bands_per_user must be an integer >= 1")
     if c.max_bands_per_user > c.n_bands:

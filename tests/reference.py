@@ -26,6 +26,9 @@ from dsapf.objectives import ObjectiveKind, evaluate_batch
 from dsapf.phy import elastic_reward, user_rates
 from dsapf.powerfill import water_fill_batch
 
+# Joint assignments ``solve_per_assignment`` scores at a time.
+CHUNK = 16384
+
 
 @dataclass(frozen=True)
 class WaterFillProblem:
@@ -107,7 +110,7 @@ def assignment_powers(inst, alloc: np.ndarray) -> np.ndarray:
 
 def solve_per_assignment(inst, objective) -> tuple[np.ndarray, float]:
     """``oracle.solve_exhaustive`` with every assignment's powers derived by
-    ``assignment_powers``, in chunks of ``oracle._CHUNK`` assignments."""
+    ``assignment_powers``, in chunks of ``CHUNK`` assignments."""
     kind = ObjectiveKind(objective)
     n = inst.gains_sq.shape[0]
     m = inst.availability.size
@@ -120,8 +123,8 @@ def solve_per_assignment(inst, objective) -> tuple[np.ndarray, float]:
     weights = n_options ** np.arange(n - 1, -1, -1, dtype=np.int64)
     best_score = -np.inf
     best_alloc = np.zeros((n, m), dtype=bool)
-    for start in range(0, total, oracle._CHUNK):
-        indices = np.arange(start, min(start + oracle._CHUNK, total), dtype=np.int64)
+    for start in range(0, total, CHUNK):
+        indices = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
         alloc = table[(indices[:, None] // weights[None, :]) % n_options]
         power = assignment_powers(inst, alloc)
         rates = user_rates(alloc, power, inst.gains_sq, inst.availability,

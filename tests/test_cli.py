@@ -109,6 +109,17 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
     assert "n_users" in capsys.readouterr().err
 
 
+def test_run_rejects_an_instance_too_large_to_hold(tmp_path, capsys):
+    # Refused by validate before any array is built.
+    path = tmp_path / "huge.scn"
+    path.write_text("n_users = 100000\nn_slots = 3\n")
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "n_users" in err and "n_bands" in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("ar_order = 2\n", "unknown key 'ar_order'"),
     ("reference_distance_m = 2\n", "unknown key 'reference_distance_m'"),

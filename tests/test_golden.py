@@ -2,8 +2,8 @@
 
 Each scenario below is run through the engine and ``metrics_io.write_run``;
 the SHA-256 of the resulting ``slots.csv`` and ``summary.csv`` is pinned, as
-is the SHA-256 of the ``dsa-pf oracle-check`` stdout on a tiny scenario and
-of ``pfilter.decide``'s raw scores, whose last bits the CSVs cannot show
+is the SHA-256 of the ``dsa-pf oracle-check`` stdout on two tiny scenarios
+and of ``pfilter.decide``'s raw scores, whose last bits the CSVs cannot show
 unless an argmax flips.
 Together the scenarios cover all four objectives, one to four bands per
 user, a band axis of eight or more (where NumPy's pairwise summation
@@ -73,6 +73,15 @@ ORACLE_SCENARIO = ("n_users = 4\nn_bands = 3\nmax_bands_per_user = 2\n"
 ORACLE_SLOTS = 8
 ORACLE_GOLDEN = "6079cc3c72978040cefeaed96e4d3a1ae3531524d55dbc48190ddeeacedf411b"
 
+# The benchmark's oracle shape: 5 users picking 2 of 4 bands, 7**5 joint
+# assignments, with busy bands shrinking the alphabet in 5 of the 8 slots.
+# The slot count comes from the scenario itself.
+ORACLE_5U_SCENARIO = ("n_users = 5\nn_bands = 4\nmax_bands_per_user = 2\n"
+                      "objective = sum\npu_busy_prob = 0.25\nn_slots = 8\n"
+                      "seed = 21\n")
+ORACLE_5U_SLOTS = 8
+ORACLE_5U_GOLDEN = "c101ac96357185802d79ab12182a4b869257bce920c414d3e6e561f519ba6e4d"
+
 # Two decide calls on seeded initial particles and channels: the first with
 # nobody transmitting, the second with the powers the first chose.  A budget
 # of four per-band caps puts every receiver on four of twelve bands; about a
@@ -103,15 +112,24 @@ def test_run_csv_fingerprint(name, tmp_path):
     assert (_sha256(slots_path), _sha256(summary_path)) == GOLDEN[name]
 
 
-def test_oracle_check_stdout_fingerprint(tmp_path, capsys):
+def _oracle_check_stdout(tmp_path, capsys, scenario_text, *args) -> str:
     scenario = tmp_path / "oracle.cfg"
-    scenario.write_text(ORACLE_SCENARIO)
-    code = main(["oracle-check", "--config", str(scenario),
-                 "--slots", str(ORACLE_SLOTS)])
-    out = capsys.readouterr().out
-    assert code == 0
+    scenario.write_text(scenario_text)
+    assert main(["oracle-check", "--config", str(scenario), *args]) == 0
+    return capsys.readouterr().out
+
+
+def test_oracle_check_stdout_fingerprint(tmp_path, capsys):
+    out = _oracle_check_stdout(tmp_path, capsys, ORACLE_SCENARIO,
+                               "--slots", str(ORACLE_SLOTS))
     assert out.count("slot=") == ORACLE_SLOTS
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_GOLDEN
+
+
+def test_oracle_check_two_of_four_bands_fingerprint(tmp_path, capsys):
+    out = _oracle_check_stdout(tmp_path, capsys, ORACLE_5U_SCENARIO)
+    assert out.count("slot=") == ORACLE_5U_SLOTS
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_5U_GOLDEN
 
 
 @pytest.mark.parametrize("objective", OBJECTIVE_NAMES)

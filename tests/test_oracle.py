@@ -11,10 +11,10 @@ from dsapf.cli import main
 from dsapf.objectives import evaluate
 from dsapf.oracle import (InstanceTooLargeError, TinyInstance, band_alphabet,
                           solve_exhaustive)
-from dsapf.phy import elastic_reward
+from dsapf.phy import elastic_reward, user_rates
 from dsapf.powerfill import water_fill_batch
 
-from reference import WaterFillProblem, solve_per_assignment, water_fill
+from reference import CHUNK, WaterFillProblem, solve_per_assignment, water_fill
 
 
 def make_instance(gains_sq, *, availability=None, l=1, rule="waterfill",
@@ -151,16 +151,6 @@ def test_band_relabeling_keeps_score():
     assert s == pytest.approx(s_p, rel=1e-12)
 
 
-def test_chunking_does_not_change_result(monkeypatch):
-    g = random_gains(np.random.default_rng(10), 3, 3)
-    inst = make_instance(g)
-    alloc_big, score_big = solve_exhaustive(inst, "proportional_fair")
-    monkeypatch.setattr(oracle, "_CHUNK", 7)
-    alloc_small, score_small = solve_exhaustive(inst, "proportional_fair")
-    assert np.array_equal(alloc_big, alloc_small)
-    assert score_big == score_small
-
-
 # ---------------------------------------------------------------- reference
 
 
@@ -235,10 +225,11 @@ def test_matches_loop_reference_two_band_users():
 
 @pytest.mark.parametrize("rule", ["waterfill"])
 @pytest.mark.parametrize("n_users", range(1, 7))
-def test_matches_per_assignment_reference_bit_for_bit(n_users, rule, monkeypatch):
-    # Powers derived once per distinct per-user problem must give the very
-    # allocation and score of powers derived afresh for every assignment,
-    # also when the enumeration runs in chunks of 7 assignments.
+def test_matches_per_assignment_reference_bit_for_bit(n_users, rule):
+    # Powers derived once per distinct per-user problem, and rates computed
+    # per (user, option) on that option's bands, must give the very
+    # allocation and score of powers and rates derived afresh for every
+    # assignment.
     gen = np.random.default_rng([n_users, rule == "waterfill"])
     for objective in ("sum", "maxmin", "proportional_fair", "intrinsic"):
         m = int(gen.integers(1, 5))
@@ -249,17 +240,54 @@ def test_matches_per_assignment_reference_bit_for_bit(n_users, rule, monkeypatch
             inst = make_instance(random_gains(gen, n_users, m),
                                  availability=availability, l=l, rule=rule,
                                  thresholds=gen.uniform(0.0, 2e6, size=n_users))
-            chunks = [oracle._CHUNK]
-            options = band_alphabet(inst.availability, inst.max_bands_per_user)
-            if len(options) ** n_users <= 2500:
-                chunks.append(7)
-            for chunk in chunks:
-                monkeypatch.setattr(oracle, "_CHUNK", chunk)
-                alloc, score = solve_exhaustive(inst, objective)
-                want_alloc, want_score = solve_per_assignment(inst, objective)
-                assert score == want_score, (objective, chunk, inst)
-                assert np.array_equal(alloc, want_alloc), (objective, chunk, inst)
-            monkeypatch.undo()
+            alloc, score = solve_exhaustive(inst, objective)
+            want_alloc, want_score = solve_per_assignment(inst, objective)
+            assert score == want_score, (objective, inst)
+            assert np.array_equal(alloc, want_alloc), (objective, inst)
+
+
+def rate_instances():
+    """Instances for the rate check: 1-6 users at one and two bands per
+    user, all bands open with a deaf user (zero direct gain) or one band
+    busy, plus an all-zero-gain instance."""
+    for n_users in range(1, 7):
+        for l in (1, 2):
+            gen = np.random.default_rng([n_users, l])
+            deaf = random_gains(gen, n_users, 4)
+            deaf[n_users - 1, n_users - 1] = 0.0
+            yield pytest.param(
+                make_instance(deaf, l=l,
+                              thresholds=gen.uniform(0.0, 2e6, size=n_users)),
+                id=f"{n_users}users-l{l}-deaf")
+            yield pytest.param(
+                make_instance(random_gains(gen, n_users, 4), l=l,
+                              availability=np.arange(4) != gen.integers(0, 4),
+                              thresholds=gen.uniform(0.0, 2e6, size=n_users)),
+                id=f"{n_users}users-l{l}-busy")
+    yield pytest.param(make_instance(np.zeros((3, 3, 4)), l=2), id="zero-gains")
+
+
+@pytest.mark.parametrize("inst", rate_instances())
+def test_assignment_rates_match_user_rates_bit_for_bit(inst):
+    # Best-score equality can hide a wrong rate in a row that never wins,
+    # so every user's rate in every joint assignment is checked against
+    # phy.user_rates on the full (assignments, users, bands) tensors.
+    n, _, m = inst.gains_sq.shape
+    options = band_alphabet(inst.availability, inst.max_bands_per_user)
+    table = np.zeros((len(options), m), dtype=bool)
+    for idx, bands in enumerate(options):
+        table[idx, list(bands)] = True
+    rows, row_of = oracle._waterfill_rows(inst, table)
+    got = oracle._assignment_rates(inst, table, rows, row_of)
+    # Row r of np.indices' transpose holds the options of lexicographic rank r.
+    digits = np.indices((len(options),) * n).reshape(n, -1).T
+    assert got.shape == digits.shape
+    for start in range(0, len(digits), CHUNK):
+        part = slice(start, start + CHUNK)
+        want = user_rates(table[digits[part]], rows[row_of[part]], inst.gains_sq,
+                          inst.availability, inst.bandwidth_hz, inst.noise_band_w)
+        assert np.array_equal(got[part], want)
+    assert (got > 0.0).any() == inst.gains_sq.any()
 
 
 def test_waterfill_solves_each_distinct_problem_once(monkeypatch):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from dsapf.engine import run
-from dsapf.system import (OBJECTIVE_NAMES, ConfigError, Domain, RngStream,
-                          SystemConfig, dbm_to_watt, derive_substream,
-                          validate, validate_allocation, validate_power)
+from dsapf.system import (MAX_LINK_ENTRIES, OBJECTIVE_NAMES, ConfigError,
+                          Domain, RngStream, SystemConfig, dbm_to_watt,
+                          derive_substream, validate, validate_allocation,
+                          validate_power)
 
 
 def test_dbm_anchors():
@@ -87,6 +88,17 @@ def test_validate_defaults_and_derived_units():
 def test_validate_names_offending_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         validate(SystemConfig(**kwargs))
+
+
+def test_validate_caps_the_link_tensor_at_its_boundary():
+    # validate allocates nothing, so sizes at and past the cap are safe here.
+    assert MAX_LINK_ENTRIES == 5000 ** 2 * 2
+    validate(SystemConfig(n_users=5000, n_bands=2))
+    validate(SystemConfig(n_users=1, n_bands=MAX_LINK_ENTRIES))
+    for n_users, n_bands in ((5001, 2), (1, MAX_LINK_ENTRIES + 1),
+                             (100000, 15)):
+        with pytest.raises(ConfigError, match=r"n_users\*\*2 \* n_bands"):
+            validate(SystemConfig(n_users=n_users, n_bands=n_bands))
 
 
 # Sizes stay small so each example runs in milliseconds.
