@@ -21,42 +21,31 @@ import os
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from .engine import run as run_engine
 from .metrics_io import summary_line, sweep_table, write_run, write_sweep
-from .oracle import InstanceTooLargeError, check_enumerable, compare
+from .oracle import check_enumerable, compare
 from .system import ConfigError, SystemConfig, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-_FIELD_NAMES = tuple(f.name for f in fields(SystemConfig))
+_HINTS = typing.get_type_hints(SystemConfig)
+_FIELD_NAMES = tuple(_HINTS)
 
 
-def _converters() -> dict:
-    hints = typing.get_type_hints(SystemConfig)
-    table = {}
-    for name in _FIELD_NAMES:
-        hint = hints[name]
-        if hint is int:
-            table[name] = lambda s: int(s.strip())
-        elif hint is float:
-            table[name] = lambda s: float(s.strip())
-        elif hint is str:
-            table[name] = lambda s: s.strip()
-        else:  # the rate-threshold pair
-            def pair(s: str):
-                parts = [p for p in s.replace(",", " ").split() if p]
-                if len(parts) != 2:
-                    raise ValueError("expected two comma-separated numbers")
-                return (float(parts[0]), float(parts[1]))
-            table[name] = pair
-    return table
-
-
-_CONVERT = _converters()
+def _convert(name: str, text: str):
+    """Parse one value of the ``SystemConfig`` field ``name`` by its type."""
+    hint = _HINTS[name]
+    if hint in (int, float, str):
+        return hint(text.strip())
+    # the rate-threshold pair
+    parts = [p for p in text.replace(",", " ").split() if p]
+    if len(parts) != 2:
+        raise ValueError("expected two comma-separated numbers")
+    return (float(parts[0]), float(parts[1]))
 
 
 def load_scenario(path: str | None) -> SystemConfig:
@@ -85,7 +74,7 @@ def load_scenario(path: str | None) -> SystemConfig:
                                   f"(first set on line {first_line[key]})")
             first_line[key] = lineno
             try:
-                values[key] = _CONVERT[key](value)
+                values[key] = _convert(key, value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}")
     return SystemConfig(**values)
@@ -95,21 +84,23 @@ def _default_out() -> str:
     return os.environ.get("DSA_PF_OUT", "out")
 
 
-def cmd_run(args) -> int:
+def _scenario(args) -> SystemConfig:
+    """The ``--config`` scenario, with ``--seed`` applied when given."""
     config = load_scenario(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    vcfg = validate(config)
-    summary, records = run_engine(vcfg)
-    write_run(records, summary, args.out)
-    print(summary_line(summary))
-    return EXIT_OK
+    return config
 
 
 def _run_cell(config: SystemConfig, out_dir: str):
     summary, records = run_engine(validate(config))
     write_run(records, summary, out_dir)
     return summary
+
+
+def cmd_run(args) -> int:
+    print(summary_line(_run_cell(_scenario(args), args.out)))
+    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -121,9 +112,9 @@ def cmd_sweep(args) -> int:
                           + ", ".join(_FIELD_NAMES))
     if args.param == "seed":
         raise ConfigError("the seed axis is given by --seeds, not --param")
-    convert = _CONVERT[args.param]
     try:
-        values = [convert(v) for v in args.values.split(",") if v.strip()]
+        values = [_convert(args.param, v)
+                  for v in args.values.split(",") if v.strip()]
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sweep values: {exc}")
@@ -140,31 +131,28 @@ def cmd_sweep(args) -> int:
             cell_cfg = replace(config, seed=seed, **{args.param: value})
             cell_dir = os.path.join(args.out, f"{args.param}-{value}", f"seed-{seed}")
             validate(cell_cfg)  # fail fast before any engine work
-            cells.append((value, cell_cfg, cell_dir))
+            cells.append((cell_cfg, cell_dir))
 
     # A fork-started pool launches all of its workers at the first submit,
-    # so never ask for more workers than there are cells.
-    workers = min(args.jobs, len(cells))
+    # so never ask for more workers than there are cells or CPUs.
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, cfg, out) for _, cfg, out in cells]
+            futures = [pool.submit(_run_cell, cfg, out) for cfg, out in cells]
             summaries = [f.result() for f in futures]
     else:
-        summaries = [_run_cell(cfg, out) for _, cfg, out in cells]
+        summaries = [_run_cell(cfg, out) for cfg, out in cells]
 
-    groups = []
-    for value in values:
-        group = [s for (v, _, _), s in zip(cells, summaries) if v == value]
-        groups.append((value, group))
+    # Cells run value-major: each value's seeds are one consecutive slice.
+    k = len(seeds)
+    groups = [(value, summaries[i * k:(i + 1) * k]) for i, value in enumerate(values)]
     path = write_sweep(sweep_table(groups, args.param), args.out)
     print(f"param={args.param} cells={len(cells)} sweep_csv={path}")
     return EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
-    config = load_scenario(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _scenario(args)
     if args.slots is not None:
         config = replace(config, n_slots=args.slots)
     vcfg = validate(config)
@@ -200,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", required=True, help="comma-separated seeds")
     p_sweep.add_argument("--out", default=_default_out())
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel cells (>= 1; capped at the number of cells)")
+                         help="parallel cells (>= 1; capped at the number of cells "
+                              "and of CPUs)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_oracle = sub.add_parser("oracle-check",
@@ -217,7 +206,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, InstanceTooLargeError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

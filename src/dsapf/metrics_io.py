@@ -77,12 +77,8 @@ def _config_key(summary: RunSummary, ignore: tuple[str, ...]) -> tuple:
 
 
 def summary_metric(summary: RunSummary, name: str) -> float:
-    """One of ``SUMMARY_METRICS`` read off a run summary."""
-    if name == "avg_throughput_bps":
-        return summary.per_user_avg_throughput
-    if name == "avg_jain":
-        return summary.avg_jain
-    return float(summary.total_messages)
+    """One of ``SUMMARY_METRICS`` read off a run summary's CSV row."""
+    return float(summary_row(summary)[SUMMARY_COLUMNS.index(name)])
 
 
 def sweep_table(groups: Sequence[tuple[object, Sequence[RunSummary]]],

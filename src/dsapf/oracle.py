@@ -25,9 +25,10 @@ import numpy as np
 from .objectives import ObjectiveKind, evaluate, evaluate_batch
 from .phy import INV_LN2, elastic_reward
 from .powerfill import water_fill_batch
+from .system import ConfigError
 
 
-class InstanceTooLargeError(ValueError):
+class InstanceTooLargeError(ConfigError):
     """The joint assignment space is beyond exhaustive reach."""
 
 

@@ -80,6 +80,21 @@ MAX_MAGNITUDE = 1e30
 # first allocations fail with a MemoryError instead of a named field.
 MAX_LINK_ENTRIES = 50_000_000
 
+# Cap on n_users * n_particles * n_bands, the entries of one (agent,
+# particle, band) array.  Predicting and deciding keep about four and a half
+# float64 arrays of that size alive at once (the random keys, the top-k
+# input, the candidate powers and their SNRs): a traced run whose particle
+# arrays dominate peaks at 36-38 bytes per entry, so under 2 GB at the cap.
+# The default scenario sits over 1,600 times below it.
+MAX_PARTICLE_ENTRIES = 50_000_000
+
+# Cap on n_users * n_particles * n_bands**2 when max_bands_per_user > 1:
+# decide then water-fills every (agent, particle) row, and water_fill_batch
+# forms two (rows, 2 * n_bands, n_bands) float64 temporaries, 32 bytes per
+# unit, so 1.6 GB at the cap.  The largest such scenario in the acceptance
+# battery (50 users, 20 particles, 12 bands) sits 347 times below it.
+MAX_WATER_FILL_ENTRIES = 50_000_000
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -114,6 +129,14 @@ def validate(config: SystemConfig) -> ValidatedConfig:
         fail("max_bands_per_user exceeds n_bands")
     if not _is_int(c.n_particles) or c.n_particles < 1:
         fail("n_particles must be an integer >= 1")
+    if c.n_users * c.n_particles * c.n_bands > MAX_PARTICLE_ENTRIES:
+        fail(f"n_users * n_particles * n_bands must be <= {MAX_PARTICLE_ENTRIES:,} "
+             "(one agents x particles x bands array)")
+    if (c.max_bands_per_user > 1
+            and c.n_users * c.n_particles * c.n_bands ** 2 > MAX_WATER_FILL_ENTRIES):
+        fail("n_users * n_particles * n_bands**2 must be <= "
+             f"{MAX_WATER_FILL_ENTRIES:,} when max_bands_per_user > 1 "
+             "(the water-filling tensor)")
     within("bandwidth_hz", 1.0 / MAX_MAGNITUDE, MAX_MAGNITUDE)
     within("p_total_max_dbm", -MAX_LEVEL_DB, MAX_LEVEL_DB)
     within("p_band_max_dbm", -MAX_LEVEL_DB, MAX_LEVEL_DB)

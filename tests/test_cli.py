@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 from concurrent.futures import Future
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import dsapf
 from dsapf.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, load_scenario, main
-from dsapf.system import ConfigError
+from dsapf.system import ConfigError, SystemConfig
 
 TINY = """
 # toy scenario, fast enough for tests
@@ -51,6 +52,24 @@ def test_load_scenario_parses_every_field_kind(tmp_path):
     assert cfg.objective == "proportional_fair"
     assert cfg.pu_busy_prob == 0.25
     assert cfg.rate_threshold_range_bps == (0.0, 5e3)
+
+
+def test_every_field_default_round_trips_through_a_scenario_file(tmp_path):
+    lines = []
+    for f in fields(SystemConfig):
+        text = (", ".join(map(repr, f.default)) if isinstance(f.default, tuple)
+                else str(f.default))
+        lines.append(f"{f.name} = {text}\n")
+    path = tmp_path / "defaults.scn"
+    path.write_text("".join(lines))
+    cfg = load_scenario(str(path))
+    assert cfg == SystemConfig()
+    # Equality alone would let an int stand in for a float.
+    for f in fields(SystemConfig):
+        value = getattr(cfg, f.name)
+        assert type(value) is type(f.default), f.name
+        if isinstance(value, tuple):
+            assert [type(v) for v in value] == [type(v) for v in f.default]
 
 
 def test_load_scenario_errors_carry_line_numbers(tmp_path):
@@ -117,6 +136,28 @@ def test_run_rejects_an_instance_too_large_to_hold(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "n_users" in err and "n_bands" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text, names", [
+    ("n_particles = 1000000\n", ("n_users", "n_particles", "n_bands")),
+    ("n_users = 10\nn_bands = 2000\nmax_bands_per_user = 2\n",
+     ("n_users", "n_particles", "n_bands**2", "max_bands_per_user")),
+], ids=["particle-arrays", "water-fill"])
+def test_run_rejects_particle_arrays_too_large_to_hold(tmp_path, capsys,
+                                                       monkeypatch, text, names):
+    # Refused by validate; the engine is stubbed so that nothing is allocated
+    # even if the scenario got through.
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr("dsapf.cli.run_engine", engine)
+    path = tmp_path / "huge.scn"
+    path.write_text(text + "n_slots = 3\n")
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(name in err for name in names)
     assert not (tmp_path / "x").exists()
 
 
@@ -250,6 +291,8 @@ class RecordingPool:
 def recording_pool(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr("dsapf.cli.ProcessPoolExecutor", RecordingPool)
+    # Many CPUs, so that only the cell count and --jobs size the pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     return RecordingPool
 
 
@@ -264,6 +307,21 @@ def test_sweep_pool_is_sized_to_the_cells(scenario, tmp_path, recording_pool,
     code = main(["sweep", "--config", scenario, "--param", "pu_busy_prob",
                  "--values", values, "--seeds", "0",
                  "--out", str(tmp_path / "s"), "--jobs", jobs])
+    assert code == EXIT_OK
+    assert recording_pool.sizes == want
+
+
+@pytest.mark.parametrize("cpus, want", [
+    (2, [2]),
+    (1, []),        # one CPU runs serially
+    (None, []),     # an unknown CPU count counts as one
+])
+def test_sweep_pool_is_capped_at_the_cpu_count(scenario, tmp_path, recording_pool,
+                                               monkeypatch, cpus, want):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code = main(["sweep", "--config", scenario, "--param", "pu_busy_prob",
+                 "--values", "0.0,0.25,0.5", "--seeds", "0",
+                 "--out", str(tmp_path / "s"), "--jobs", "5000"])
     assert code == EXIT_OK
     assert recording_pool.sizes == want
 

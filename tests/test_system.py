@@ -9,7 +9,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from dsapf.engine import run
-from dsapf.system import (MAX_LINK_ENTRIES, OBJECTIVE_NAMES, ConfigError,
+from dsapf.system import (MAX_LINK_ENTRIES, MAX_PARTICLE_ENTRIES,
+                          MAX_WATER_FILL_ENTRIES, OBJECTIVE_NAMES, ConfigError,
                           Domain, RngStream, SystemConfig, dbm_to_watt,
                           derive_substream, validate, validate_allocation,
                           validate_power)
@@ -94,11 +95,37 @@ def test_validate_caps_the_link_tensor_at_its_boundary():
     # validate allocates nothing, so sizes at and past the cap are safe here.
     assert MAX_LINK_ENTRIES == 5000 ** 2 * 2
     validate(SystemConfig(n_users=5000, n_bands=2))
-    validate(SystemConfig(n_users=1, n_bands=MAX_LINK_ENTRIES))
+    # One particle, so that the particle arrays stay within their own cap.
+    validate(SystemConfig(n_users=1, n_bands=MAX_LINK_ENTRIES, n_particles=1))
     for n_users, n_bands in ((5001, 2), (1, MAX_LINK_ENTRIES + 1),
                              (100000, 15)):
         with pytest.raises(ConfigError, match=r"n_users\*\*2 \* n_bands"):
             validate(SystemConfig(n_users=n_users, n_bands=n_bands))
+
+
+def test_validate_caps_the_particle_arrays_at_their_boundary():
+    # validate allocates nothing, so sizes at and past the cap are safe here.
+    assert MAX_PARTICLE_ENTRIES == 200 * 25_000 * 10
+    validate(SystemConfig(n_users=200, n_bands=10, n_particles=25_000))
+    for kwargs in (dict(n_users=200, n_bands=10, n_particles=25_001),
+                   dict(n_particles=10**6)):
+        with pytest.raises(ConfigError,
+                           match=r"n_users \* n_particles \* n_bands must"):
+            validate(SystemConfig(**kwargs))
+
+
+def test_validate_caps_the_water_fill_tensor_at_its_boundary():
+    # validate allocates nothing, so sizes at and past the cap are safe here.
+    assert MAX_WATER_FILL_ENTRIES == 2 * 100 * 500 ** 2
+    at_cap = dict(n_users=2, n_bands=500, max_bands_per_user=2, n_particles=100)
+    validate(SystemConfig(**at_cap))
+    for kwargs in (dict(at_cap, n_particles=101),
+                   dict(n_users=10, n_bands=2000, max_bands_per_user=2,
+                        n_particles=10)):
+        with pytest.raises(ConfigError, match=r"n_particles \* n_bands\*\*2"):
+            validate(SystemConfig(**kwargs))
+        # One band per user water-fills nothing, so the cap does not apply.
+        validate(SystemConfig(**dict(kwargs, max_bands_per_user=1)))
 
 
 # Sizes stay small so each example runs in milliseconds.
