@@ -26,41 +26,41 @@ _MIN_GAIN = 1e-30
 
 
 def water_fill_batch(gains: np.ndarray, active: np.ndarray, p_total_w: float,
-                     p_cap_w) -> np.ndarray:
+                     p_cap_w: float) -> np.ndarray:
     """Water-fill every row of a (problems, bands) gain matrix at once.
 
     ``active`` masks the bands each row may use; inactive bands always get
-    zero power.  The water level is found exactly: the total power allocated
-    as a function of the level is piecewise linear with breakpoints at
-    1/g_j and 1/g_j + cap_j, so locating the bracketing breakpoints and
-    interpolating meets the budget to machine precision relative to the
-    largest 1/g_j involved; a row that would still overshoot the budget by
-    more than ``BUDGET_RTOL`` is scaled back onto it.
+    zero power.  The total power allocated is a nondecreasing, piecewise
+    linear function of the level with breakpoints at 1/g_j and 1/g_j + cap_j,
+    so binary lifting over each row's sorted breakpoints brackets the level
+    in ceil(log2(2m - 1)) probes, and interpolating meets the budget to
+    machine precision relative to the largest 1/g_j involved; a row that
+    would still overshoot it by more than ``BUDGET_RTOL`` is scaled back.
     """
     gains = np.asarray(gains, dtype=float)
     active = np.asarray(active, dtype=bool)
     rows, m = gains.shape
-    caps = np.where(active, np.broadcast_to(np.asarray(p_cap_w, float), (rows, m)), 0.0)
+    caps = np.where(active, p_cap_w, 0.0)
     cap_sum = caps.sum(axis=1)
     target = np.minimum(p_total_w, cap_sum)
 
     inv_g = np.where(active & (gains > 0.0), 1.0 / np.maximum(gains, _MIN_GAIN),
                      _HUGE_INV_GAIN)
-    breakpoints = np.concatenate([inv_g, inv_g + caps], axis=1)
-    breakpoints.sort(axis=1)
-    filled = np.clip(breakpoints[:, :, None] - inv_g[:, None, :],
-                     0.0, caps[:, None, :]).sum(axis=2)
+    bp = np.sort(np.concatenate([inv_g, inv_g + caps], axis=1), axis=1).ravel()
 
-    # First breakpoint at which the filled power reaches the target; the
-    # level lies in the linear segment just before it.
-    idx = np.clip((filled < target[:, None]).sum(axis=1), 1, 2 * m - 1)
-    flat = np.arange(rows) * (2 * m) + idx
-    bp_flat = breakpoints.ravel()
-    f_flat = filled.ravel()
-    bp_hi = bp_flat[flat]
-    bp_lo = bp_flat[flat - 1]
-    f_hi = f_flat[flat]
-    f_lo = f_flat[flat - 1]
+    def filled(level):
+        return np.minimum(np.maximum(level[:, None] - inv_g, 0.0), caps).sum(axis=1)
+
+    # The level lies after the last of the row's first 2m - 1 breakpoints
+    # whose filled power falls short of the target, or after its first.
+    at = np.arange(rows) * (2 * m)
+    last = at + 2 * m - 2
+    for shift in range((2 * m - 2).bit_length() - 1, -1, -1):
+        probe = np.minimum(at + (1 << shift), last)
+        short = filled(bp[probe]) < target
+        at[short] = probe[short]
+    bp_lo, bp_hi = bp[at], bp[at + 1]
+    f_lo, f_hi = filled(bp_lo), filled(bp_hi)
     span = f_hi - f_lo
     on_segment = span > 0.0
     frac = np.divide(target - f_lo, span, out=np.zeros_like(span),

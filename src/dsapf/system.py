@@ -4,7 +4,7 @@ deterministic random-substream contract shared by every other module."""
 from __future__ import annotations
 
 import enum
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,19 +81,13 @@ MAX_MAGNITUDE = 1e30
 MAX_LINK_ENTRIES = 50_000_000
 
 # Cap on n_users * n_particles * n_bands, the entries of one (agent,
-# particle, band) array.  Predicting and deciding keep about four and a half
-# float64 arrays of that size alive at once (the random keys, the top-k
-# input, the candidate powers and their SNRs): a traced run whose particle
-# arrays dominate peaks at 36-38 bytes per entry, so under 2 GB at the cap.
-# The default scenario sits over 1,600 times below it.
+# particle, band) array, halved when max_bands_per_user > 1.  Traced 2-slot
+# runs peak at 69 bytes per entry with one band, 47 with two and 38 from
+# ten on, so 3.4 GB at the cap.  Water-filling more than one band per user
+# adds temporaries linear in the band count: 120 bytes per entry at two
+# bands, 62 at 100, so 3.0 GB at the halved cap.  The default scenario and
+# the battery's largest multiband one sit 1,600 and 2,000 times below.
 MAX_PARTICLE_ENTRIES = 50_000_000
-
-# Cap on n_users * n_particles * n_bands**2 when max_bands_per_user > 1:
-# decide then water-fills every (agent, particle) row, and water_fill_batch
-# forms two (rows, 2 * n_bands, n_bands) float64 temporaries, 32 bytes per
-# unit, so 1.6 GB at the cap.  The largest such scenario in the acceptance
-# battery (50 users, 20 particles, 12 bands) sits 347 times below it.
-MAX_WATER_FILL_ENTRIES = 50_000_000
 
 
 def _is_int(value) -> bool:
@@ -104,7 +98,7 @@ def validate(config: SystemConfig) -> ValidatedConfig:
     """Check every invariant and cache the linear-unit conversions.
 
     Raises ``ConfigError`` naming the first offending field.  NaN fails
-    every check, and so does an infinite float.
+    every check, and so do an infinite float and a value of the wrong type.
     """
 
     c = config
@@ -112,9 +106,17 @@ def validate(config: SystemConfig) -> ValidatedConfig:
     def fail(msg: str) -> None:
         raise ConfigError(msg)
 
+    def require(check, msg: str) -> None:
+        try:
+            holds = bool(check())
+        except (TypeError, ValueError):
+            holds = False
+        if not holds:
+            fail(msg)
+
     def within(name: str, low: float, high: float) -> None:
-        if not low <= getattr(c, name) <= high:
-            fail(f"{name} must be in [{low:g}, {high:g}]")
+        require(lambda: low <= getattr(c, name) <= high,
+                f"{name} must be in [{low:g}, {high:g}]")
 
     if not _is_int(c.n_users) or c.n_users < 1:
         fail("n_users must be an integer >= 1")
@@ -129,23 +131,19 @@ def validate(config: SystemConfig) -> ValidatedConfig:
         fail("max_bands_per_user exceeds n_bands")
     if not _is_int(c.n_particles) or c.n_particles < 1:
         fail("n_particles must be an integer >= 1")
-    if c.n_users * c.n_particles * c.n_bands > MAX_PARTICLE_ENTRIES:
-        fail(f"n_users * n_particles * n_bands must be <= {MAX_PARTICLE_ENTRIES:,} "
+    cap = MAX_PARTICLE_ENTRIES // (2 if c.max_bands_per_user > 1 else 1)
+    if c.n_users * c.n_particles * c.n_bands > cap:
+        fail(f"n_users * n_particles * n_bands must be <= {MAX_PARTICLE_ENTRIES:,}, "
+             f"or {MAX_PARTICLE_ENTRIES // 2:,} when max_bands_per_user > 1 "
              "(one agents x particles x bands array)")
-    if (c.max_bands_per_user > 1
-            and c.n_users * c.n_particles * c.n_bands ** 2 > MAX_WATER_FILL_ENTRIES):
-        fail("n_users * n_particles * n_bands**2 must be <= "
-             f"{MAX_WATER_FILL_ENTRIES:,} when max_bands_per_user > 1 "
-             "(the water-filling tensor)")
     within("bandwidth_hz", 1.0 / MAX_MAGNITUDE, MAX_MAGNITUDE)
     within("p_total_max_dbm", -MAX_LEVEL_DB, MAX_LEVEL_DB)
     within("p_band_max_dbm", -MAX_LEVEL_DB, MAX_LEVEL_DB)
     within("noise_psd_dbm_hz", -MAX_LEVEL_DB, MAX_LEVEL_DB)
-    if not (c.beta >= 0.0 and math.isfinite(c.beta)):
-        fail("beta must be finite and >= 0")
-    lo, hi = c.rate_threshold_range_bps
-    if not (0.0 <= lo <= hi and math.isfinite(hi)):
-        fail("rate_threshold_range_bps must satisfy 0 <= low <= high < inf")
+    within("beta", 0.0, sys.float_info.max)
+    r = c.rate_threshold_range_bps
+    require(lambda: len(r) == 2 and 0.0 <= r[0] <= r[1] <= sys.float_info.max,
+            "rate_threshold_range_bps must satisfy 0 <= low <= high < inf")
     within("doppler_coherence_product", 0.0, MAX_MAGNITUDE)
     within("pu_busy_prob", 0.0, 1.0)
     if c.objective not in OBJECTIVE_NAMES:

@@ -5,6 +5,10 @@ water level.  It shares no code with ``dsapf.powerfill.water_fill_batch``,
 which locates the level exactly between breakpoints, so agreement between
 the two is a cross-check of both.
 
+``water_fill_breakpoints`` is the batch solver's former body, which
+computes the filled power at every breakpoint in a (rows, 2m, m) tensor;
+``water_fill_batch`` must return its powers bit for bit.
+
 ``solve_per_assignment`` is the exhaustive oracle that derives the powers
 of every joint assignment afresh, water-filling one row per user and
 assignment; ``dsapf.oracle.solve_exhaustive`` must return its allocation
@@ -24,7 +28,8 @@ import numpy as np
 import dsapf.oracle as oracle
 from dsapf.objectives import ObjectiveKind, evaluate_batch
 from dsapf.phy import elastic_reward, user_rates
-from dsapf.powerfill import water_fill_batch
+from dsapf.powerfill import _HUGE_INV_GAIN, _MIN_GAIN, water_fill_batch
+from dsapf.system import BUDGET_RTOL
 
 # Joint assignments ``solve_per_assignment`` scores at a time.
 CHUNK = 16384
@@ -88,6 +93,57 @@ def water_fill(problem: WaterFillProblem) -> np.ndarray:
         if hi - lo <= 1e-15 * max(1.0, abs(hi)):
             break
     return np.clip(0.5 * (lo + hi) - inv_g, 0.0, caps)
+
+
+def water_fill_breakpoints(gains: np.ndarray, active: np.ndarray,
+                           p_total_w: float, p_cap_w) -> np.ndarray:
+    """``dsapf.powerfill.water_fill_batch`` as it was before binary lifting:
+    the filled power at all 2m breakpoints of every row, in one
+    (rows, 2m, m) tensor, and the level on the segment before the first
+    breakpoint that reaches the target."""
+    gains = np.asarray(gains, dtype=float)
+    active = np.asarray(active, dtype=bool)
+    rows, m = gains.shape
+    caps = np.where(active, np.broadcast_to(np.asarray(p_cap_w, float), (rows, m)), 0.0)
+    cap_sum = caps.sum(axis=1)
+    target = np.minimum(p_total_w, cap_sum)
+
+    inv_g = np.where(active & (gains > 0.0), 1.0 / np.maximum(gains, _MIN_GAIN),
+                     _HUGE_INV_GAIN)
+    breakpoints = np.concatenate([inv_g, inv_g + caps], axis=1)
+    breakpoints.sort(axis=1)
+    filled = np.clip(breakpoints[:, :, None] - inv_g[:, None, :],
+                     0.0, caps[:, None, :]).sum(axis=2)
+
+    # First breakpoint at which the filled power reaches the target; the
+    # level lies in the linear segment just before it.
+    idx = np.clip((filled < target[:, None]).sum(axis=1), 1, 2 * m - 1)
+    flat = np.arange(rows) * (2 * m) + idx
+    bp_flat = breakpoints.ravel()
+    f_flat = filled.ravel()
+    bp_hi = bp_flat[flat]
+    bp_lo = bp_flat[flat - 1]
+    f_hi = f_flat[flat]
+    f_lo = f_flat[flat - 1]
+    span = f_hi - f_lo
+    on_segment = span > 0.0
+    frac = np.divide(target - f_lo, span, out=np.zeros_like(span),
+                     where=on_segment)
+    level = np.where(on_segment, bp_lo + frac * (bp_hi - bp_lo), bp_hi)
+
+    powers = np.clip(level[:, None] - inv_g, 0.0, caps)
+    exhausted = cap_sum <= target
+    if np.any(exhausted):
+        powers[exhausted] = caps[exhausted]
+    # Where 1/g dwarfs the budget (far below the noise floor), level - 1/g
+    # meets the budget only to within the rounding of 1/g; scale such rows
+    # back onto it.  (A matrix-vector product sums the short rows several
+    # times faster than sum(axis=1).)
+    total = powers @ np.ones(m)
+    over = total > target * (1.0 + BUDGET_RTOL)
+    if np.any(over):
+        powers[over] *= (target[over] / total[over])[:, None]
+    return powers
 
 
 def assignment_powers(inst, alloc: np.ndarray) -> np.ndarray:

@@ -141,8 +141,8 @@ def test_run_rejects_an_instance_too_large_to_hold(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, names", [
     ("n_particles = 1000000\n", ("n_users", "n_particles", "n_bands")),
-    ("n_users = 10\nn_bands = 2000\nmax_bands_per_user = 2\n",
-     ("n_users", "n_particles", "n_bands**2", "max_bands_per_user")),
+    ("n_particles = 10000\nmax_bands_per_user = 2\n",
+     ("n_users", "n_particles", "n_bands", "max_bands_per_user")),
 ], ids=["particle-arrays", "water-fill"])
 def test_run_rejects_particle_arrays_too_large_to_hold(tmp_path, capsys,
                                                        monkeypatch, text, names):

@@ -1,11 +1,11 @@
-"""Capped water-filling: spot solutions, optimality conditions, both routes."""
+"""Capped water-filling: spot solutions, optimality conditions, all routes."""
 
 import numpy as np
 import pytest
 
 from dsapf.powerfill import water_fill_batch
 
-from reference import WaterFillProblem, water_fill
+from reference import WaterFillProblem, water_fill, water_fill_breakpoints
 
 
 def solve(gains, p_total, caps):
@@ -141,3 +141,32 @@ def test_batch_keeps_budget_far_below_noise_floor():
     assert out.sum() <= p_total * (1.0 + 1e-9)
     assert out.sum() == pytest.approx(p_total, rel=1e-12)
     assert out[0, 0] == 0.0     # all power on the stronger band
+
+
+def random_batch(rng):
+    """Rows of one band count with ties, zero gains, idle rows and a row far
+    below the noise floor, under a budget that is zero, the sum of k caps,
+    or drawn."""
+    m = int(rng.integers(1, 20))
+    rows = int(rng.integers(1, 40))
+    gains = rng.lognormal(sigma=3.0, size=(rows, m))
+    gains[rng.random((rows, m)) < 0.1] = 0.0
+    tie = rng.random((rows, m)) < 0.2
+    gains[tie] = gains[tie.nonzero()[0], 0]
+    gains[-1] = rng.uniform(1e-11, 1e-8, size=m)
+    active = rng.random((rows, m)) < rng.uniform(0.3, 1.0)
+    active[0] = False
+    p_total = [0.0, float(rng.uniform(1e-3, 2.0))][int(rng.integers(2))]
+    k = int(rng.integers(1, m + 1))
+    cap = [p_total / k, float(rng.uniform(1e-3, 1.0))][int(rng.integers(2))]
+    return gains, active, p_total, cap
+
+
+def test_batch_matches_breakpoint_tensor_bit_for_bit():
+    # binary lifting must land on the segment the full (rows, 2m, m)
+    # breakpoint tensor picks, so every power agrees to the last bit
+    rng = np.random.default_rng(19)
+    for _ in range(500):
+        args = random_batch(rng)
+        assert (water_fill_batch(*args).tobytes()
+                == water_fill_breakpoints(*args).tobytes())

@@ -10,10 +10,9 @@ from hypothesis import event, given, settings, strategies as st
 
 from dsapf.engine import run
 from dsapf.system import (MAX_LINK_ENTRIES, MAX_PARTICLE_ENTRIES,
-                          MAX_WATER_FILL_ENTRIES, OBJECTIVE_NAMES, ConfigError,
-                          Domain, RngStream, SystemConfig, dbm_to_watt,
-                          derive_substream, validate, validate_allocation,
-                          validate_power)
+                          OBJECTIVE_NAMES, ConfigError, Domain, RngStream,
+                          SystemConfig, dbm_to_watt, derive_substream,
+                          validate, validate_allocation, validate_power)
 
 
 def test_dbm_anchors():
@@ -85,6 +84,14 @@ def test_validate_defaults_and_derived_units():
     (dict(n_particles=True), "n_particles"),
     (dict(n_slots=True), "n_slots"),
     (dict(seed=False), "seed"),
+    # values of the wrong type, or too large for a float
+    (dict(beta=None), "beta"),
+    (dict(pu_busy_prob="0.5"), "pu_busy_prob"),
+    (dict(doppler_coherence_product="x"), "doppler_coherence_product"),
+    (dict(beta=10**400), "beta"),
+    (dict(rate_threshold_range_bps=(0, 10**400)), "rate_threshold_range_bps"),
+    (dict(rate_threshold_range_bps=(1,)), "rate_threshold_range_bps"),
+    (dict(rate_threshold_range_bps=None), "rate_threshold_range_bps"),
 ])
 def test_validate_names_offending_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
@@ -112,20 +119,25 @@ def test_validate_caps_the_particle_arrays_at_their_boundary():
         with pytest.raises(ConfigError,
                            match=r"n_users \* n_particles \* n_bands must"):
             validate(SystemConfig(**kwargs))
-
-
-def test_validate_caps_the_water_fill_tensor_at_its_boundary():
-    # validate allocates nothing, so sizes at and past the cap are safe here.
-    assert MAX_WATER_FILL_ENTRIES == 2 * 100 * 500 ** 2
-    at_cap = dict(n_users=2, n_bands=500, max_bands_per_user=2, n_particles=100)
+    # More than one band per user halves the cap.
+    at_cap = dict(n_users=2, n_bands=500, max_bands_per_user=2,
+                  n_particles=25_000)
     validate(SystemConfig(**at_cap))
-    for kwargs in (dict(at_cap, n_particles=101),
-                   dict(n_users=10, n_bands=2000, max_bands_per_user=2,
-                        n_particles=10)):
-        with pytest.raises(ConfigError, match=r"n_particles \* n_bands\*\*2"):
-            validate(SystemConfig(**kwargs))
-        # One band per user water-fills nothing, so the cap does not apply.
-        validate(SystemConfig(**dict(kwargs, max_bands_per_user=1)))
+    with pytest.raises(ConfigError, match=r"n_bands must be <= 50,000,000, "
+                       r"or 25,000,000 when max_bands_per_user > 1"):
+        validate(SystemConfig(**dict(at_cap, n_particles=25_001)))
+    validate(SystemConfig(**dict(at_cap, n_particles=25_001,
+                                 max_bands_per_user=1)))
+
+
+def test_wide_multiband_scenario_runs_finite():
+    # Many bands water-fill in memory linear in the band count.
+    cfg = validate(SystemConfig(n_users=10, n_bands=2000, max_bands_per_user=2,
+                                n_particles=10, n_slots=2))
+    summary, records = run(cfg)
+    assert math.isfinite(summary.per_user_avg_throughput)
+    assert math.isfinite(summary.avg_jain)
+    assert all(np.isfinite(r.realized_rates).all() for r in records)
 
 
 # Sizes stay small so each example runs in milliseconds.
