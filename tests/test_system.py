@@ -119,15 +119,23 @@ def test_validate_caps_the_particle_arrays_at_their_boundary():
         with pytest.raises(ConfigError,
                            match=r"n_users \* n_particles \* n_bands must"):
             validate(SystemConfig(**kwargs))
-    # More than one band per user halves the cap.
+
+
+def test_validate_caps_the_water_fill_tensor_at_its_boundary():
+    # The water-fill holds only (rows, n_bands) temporaries, so more than one
+    # band per user halves the particle cap instead of capping n_bands**2.
     at_cap = dict(n_users=2, n_bands=500, max_bands_per_user=2,
                   n_particles=25_000)
     validate(SystemConfig(**at_cap))
     with pytest.raises(ConfigError, match=r"n_bands must be <= 50,000,000, "
                        r"or 25,000,000 when max_bands_per_user > 1"):
         validate(SystemConfig(**dict(at_cap, n_particles=25_001)))
+    # One band per user water-fills nothing, so the full cap applies.
     validate(SystemConfig(**dict(at_cap, n_particles=25_001,
                                  max_bands_per_user=1)))
+    # The former n_bands**2 rule refused this; the halved cap does not.
+    validate(SystemConfig(n_users=10, n_bands=2000, max_bands_per_user=2,
+                          n_particles=10))
 
 
 def test_wide_multiband_scenario_runs_finite():
