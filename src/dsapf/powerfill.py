@@ -9,9 +9,10 @@ water-filling profile
 
 where the water level mu makes the powers sum to min(budget, sum caps).
 
-``water_fill_batch`` solves many problems at once by locating the water
-level exactly between breakpoints of the piecewise-linear total-power curve:
-the decision step needs one allocation per agent and particle every slot.
+``water_fill_batch`` solves many problems, in passes of bounded size, by
+locating the water level exactly between breakpoints of the piecewise-linear
+total-power curve: the decision step needs one allocation per agent and
+particle every slot.
 """
 
 from __future__ import annotations
@@ -23,14 +24,17 @@ from .system import BUDGET_RTOL
 # Stand-in inverse gain for bands that must never receive power.
 _HUGE_INV_GAIN = 1e18
 _MIN_GAIN = 1e-30
+_PASS_ENTRIES = 1 << 16     # (row, band) entries water-filled per pass
 
 
 def water_fill_batch(gains: np.ndarray, active: np.ndarray, p_total_w: float,
                      p_cap_w: float) -> np.ndarray:
-    """Water-fill every row of a (problems, bands) gain matrix at once.
+    """Water-fill every row of a (problems, bands) gain matrix.
 
     ``active`` masks the bands each row may use; inactive bands always get
-    zero power.  The total power allocated is a nondecreasing, piecewise
+    zero power.  Rows are independent problems, solved in passes of about
+    ``_PASS_ENTRIES`` entries (at least one row), so a pass's temporaries
+    stay bounded.  The total power allocated is a nondecreasing, piecewise
     linear function of the level with breakpoints at 1/g_j and 1/g_j + cap_j,
     so binary lifting over each row's sorted breakpoints brackets the level
     in ceil(log2(2m - 1)) probes, and interpolating meets the budget to
@@ -39,6 +43,16 @@ def water_fill_batch(gains: np.ndarray, active: np.ndarray, p_total_w: float,
     """
     gains = np.asarray(gains, dtype=float)
     active = np.asarray(active, dtype=bool)
+    powers = np.empty(gains.shape)
+    step = max(1, _PASS_ENTRIES // gains.shape[1])
+    for start in range(0, len(gains), step):
+        at = slice(start, start + step)
+        _fill_pass(gains[at], active[at], p_total_w, p_cap_w, powers[at])
+    return powers
+
+
+def _fill_pass(gains: np.ndarray, active: np.ndarray, p_total_w: float,
+               p_cap_w: float, powers: np.ndarray) -> None:
     rows, m = gains.shape
     caps = np.where(active, p_cap_w, 0.0)
     cap_sum = caps.sum(axis=1)
@@ -67,7 +81,7 @@ def water_fill_batch(gains: np.ndarray, active: np.ndarray, p_total_w: float,
                      where=on_segment)
     level = np.where(on_segment, bp_lo + frac * (bp_hi - bp_lo), bp_hi)
 
-    powers = np.clip(level[:, None] - inv_g, 0.0, caps)
+    np.clip(level[:, None] - inv_g, 0.0, caps, out=powers)
     exhausted = cap_sum <= target
     if np.any(exhausted):
         powers[exhausted] = caps[exhausted]
@@ -79,4 +93,3 @@ def water_fill_batch(gains: np.ndarray, active: np.ndarray, p_total_w: float,
     over = total > target * (1.0 + BUDGET_RTOL)
     if np.any(over):
         powers[over] *= (target[over] / total[over])[:, None]
-    return powers

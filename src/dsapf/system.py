@@ -81,12 +81,10 @@ MAX_MAGNITUDE = 1e30
 MAX_LINK_ENTRIES = 50_000_000
 
 # Cap on n_users * n_particles * n_bands, the entries of one (agent,
-# particle, band) array, halved when max_bands_per_user > 1.  Traced 2-slot
-# runs peak at 69 bytes per entry with one band, 47 with two and 38 from
-# ten on, so 3.4 GB at the cap.  Water-filling more than one band per user
-# adds temporaries linear in the band count: 120 bytes per entry at two
-# bands, 62 at 100, so 3.0 GB at the halved cap.  The default scenario and
-# the battery's largest multiband one sit 1,600 and 2,000 times below.
+# particle, band) array.  Traced 2-slot runs peak at 69 bytes per entry with
+# one band, 47 with two and 38 from eight on, at any max_bands_per_user (the
+# water-fill works in bounded passes), so 3.4 GB at the cap.  The default and
+# the battery's largest multiband scenario sit 1,600 and 4,000 times below.
 MAX_PARTICLE_ENTRIES = 50_000_000
 
 
@@ -131,10 +129,8 @@ def validate(config: SystemConfig) -> ValidatedConfig:
         fail("max_bands_per_user exceeds n_bands")
     if not _is_int(c.n_particles) or c.n_particles < 1:
         fail("n_particles must be an integer >= 1")
-    cap = MAX_PARTICLE_ENTRIES // (2 if c.max_bands_per_user > 1 else 1)
-    if c.n_users * c.n_particles * c.n_bands > cap:
-        fail(f"n_users * n_particles * n_bands must be <= {MAX_PARTICLE_ENTRIES:,}, "
-             f"or {MAX_PARTICLE_ENTRIES // 2:,} when max_bands_per_user > 1 "
+    if c.n_users * c.n_particles * c.n_bands > MAX_PARTICLE_ENTRIES:
+        fail(f"n_users * n_particles * n_bands must be <= {MAX_PARTICLE_ENTRIES:,} "
              "(one agents x particles x bands array)")
     within("bandwidth_hz", 1.0 / MAX_MAGNITUDE, MAX_MAGNITUDE)
     within("p_total_max_dbm", -MAX_LEVEL_DB, MAX_LEVEL_DB)

@@ -141,9 +141,7 @@ def test_run_rejects_an_instance_too_large_to_hold(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, names", [
     ("n_particles = 1000000\n", ("n_users", "n_particles", "n_bands")),
-    ("n_particles = 10000\nmax_bands_per_user = 2\n",
-     ("n_users", "n_particles", "n_bands", "max_bands_per_user")),
-], ids=["particle-arrays", "water-fill"])
+], ids=["particle-arrays"])
 def test_run_rejects_particle_arrays_too_large_to_hold(tmp_path, capsys,
                                                        monkeypatch, text, names):
     # Refused by validate; the engine is stubbed so that nothing is allocated

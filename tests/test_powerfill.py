@@ -1,9 +1,11 @@
 """Capped water-filling: spot solutions, optimality conditions, all routes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dsapf.powerfill import water_fill_batch
+from dsapf.powerfill import _PASS_ENTRIES, water_fill_batch
 
 from reference import WaterFillProblem, water_fill, water_fill_breakpoints
 
@@ -143,12 +145,12 @@ def test_batch_keeps_budget_far_below_noise_floor():
     assert out[0, 0] == 0.0     # all power on the stronger band
 
 
-def random_batch(rng):
+def random_batch(rng, rows=None, m=None):
     """Rows of one band count with ties, zero gains, idle rows and a row far
     below the noise floor, under a budget that is zero, the sum of k caps,
-    or drawn."""
-    m = int(rng.integers(1, 20))
-    rows = int(rng.integers(1, 40))
+    or drawn.  ``rows`` and ``m`` fix the shape instead of drawing it."""
+    m = m or int(rng.integers(1, 20))
+    rows = rows or int(rng.integers(1, 40))
     gains = rng.lognormal(sigma=3.0, size=(rows, m))
     gains[rng.random((rows, m)) < 0.1] = 0.0
     tie = rng.random((rows, m)) < 0.2
@@ -166,7 +168,45 @@ def test_batch_matches_breakpoint_tensor_bit_for_bit():
     # binary lifting must land on the segment the full (rows, 2m, m)
     # breakpoint tensor picks, so every power agrees to the last bit
     rng = np.random.default_rng(19)
-    for _ in range(500):
-        args = random_batch(rng)
+    batches = [random_batch(rng) for _ in range(500)]
+    # Two full passes and a partial third, under a budget that powers
+    # every row with an active band.
+    rows, m = 40_000, 4
+    assert rows // (_PASS_ENTRIES // m) == 2 and rows % (_PASS_ENTRIES // m)
+    gains, active, _, _ = random_batch(rng, rows, m)
+    batches.append((gains, active, 0.8, 0.3))
+    for args in batches:
         assert (water_fill_batch(*args).tobytes()
                 == water_fill_breakpoints(*args).tobytes())
+
+
+def test_rows_wider_than_a_pass_agree_with_bisection_route():
+    # a pass holds at least one whole row, however many bands it has
+    rng = np.random.default_rng(29)
+    m = 70_000
+    assert m > _PASS_ENTRIES
+    gains = rng.lognormal(sigma=1.2, size=(2, m))
+    active = rng.random((2, m)) < 0.7
+    batch = water_fill_batch(gains, active, 500.0, 0.3)
+    for r in range(2):
+        idx = np.flatnonzero(active[r])
+        single = np.zeros(m)
+        single[idx] = solve(gains[r, idx], 500.0, np.full(idx.size, 0.3))
+        assert np.allclose(batch[r], single, atol=1e-9)
+        assert np.all(batch[r][~active[r]] == 0.0)
+
+
+def test_batch_memory_stays_bounded_as_rows_grow():
+    # Beyond its 8-byte-per-entry output the solver holds one pass of
+    # temporaries at a time: about 3.5 MiB at 8 bands, whatever the rows.
+    rng = np.random.default_rng(31)
+    for rows in (2**15, 2**17):
+        gains = rng.lognormal(size=(rows, 8))
+        active = rng.random((rows, 8)) < 0.7
+        tracemalloc.start()
+        try:
+            out = water_fill_batch(gains, active, 0.8, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 8 * 2**20

@@ -112,34 +112,25 @@ def test_validate_caps_the_link_tensor_at_its_boundary():
 
 def test_validate_caps_the_particle_arrays_at_their_boundary():
     # validate allocates nothing, so sizes at and past the cap are safe here.
-    assert MAX_PARTICLE_ENTRIES == 200 * 25_000 * 10
-    validate(SystemConfig(n_users=200, n_bands=10, n_particles=25_000))
-    for kwargs in (dict(n_users=200, n_bands=10, n_particles=25_001),
-                   dict(n_particles=10**6)):
-        with pytest.raises(ConfigError,
-                           match=r"n_users \* n_particles \* n_bands must"):
-            validate(SystemConfig(**kwargs))
-
-
-def test_validate_caps_the_water_fill_tensor_at_its_boundary():
-    # The water-fill holds only (rows, n_bands) temporaries, so more than one
-    # band per user halves the particle cap instead of capping n_bands**2.
-    at_cap = dict(n_users=2, n_bands=500, max_bands_per_user=2,
-                  n_particles=25_000)
-    validate(SystemConfig(**at_cap))
-    with pytest.raises(ConfigError, match=r"n_bands must be <= 50,000,000, "
-                       r"or 25,000,000 when max_bands_per_user > 1"):
-        validate(SystemConfig(**dict(at_cap, n_particles=25_001)))
-    # One band per user water-fills nothing, so the full cap applies.
-    validate(SystemConfig(**dict(at_cap, n_particles=25_001,
-                                 max_bands_per_user=1)))
-    # The former n_bands**2 rule refused this; the halved cap does not.
-    validate(SystemConfig(n_users=10, n_bands=2000, max_bands_per_user=2,
-                          n_particles=10))
+    # The water-fill works in bounded passes, so one cap holds whatever
+    # max_bands_per_user is.
+    assert MAX_PARTICLE_ENTRIES == 2 * 500 * 50_000
+    messages = set()
+    for ell in (1, 2):
+        at_cap = dict(n_users=2, n_bands=500, max_bands_per_user=ell,
+                      n_particles=50_000)
+        validate(SystemConfig(**at_cap))
+        for kwargs in (dict(at_cap, n_particles=50_001),
+                       dict(max_bands_per_user=ell, n_particles=10**6)):
+            with pytest.raises(ConfigError) as refused:
+                validate(SystemConfig(**kwargs))
+            messages.add(str(refused.value))
+    assert messages == {"n_users * n_particles * n_bands must be <= 50,000,000 "
+                        "(one agents x particles x bands array)"}
 
 
 def test_wide_multiband_scenario_runs_finite():
-    # Many bands water-fill in memory linear in the band count.
+    # Its 100 (agent, particle) rows of 2000 bands water-fill in four passes.
     cfg = validate(SystemConfig(n_users=10, n_bands=2000, max_bands_per_user=2,
                                 n_particles=10, n_slots=2))
     summary, records = run(cfg)
@@ -153,18 +144,28 @@ _SIZE_LIMITS = dict(n_users=4, n_bands=3, max_bands_per_user=3, n_particles=4,
                     n_slots=3)
 
 
+# Values of the wrong type for any field: None, a short string, an integer
+# too large for a float or a size, and tuples of the wrong length.
+_WRONG_VALUES = (st.none() | st.text(max_size=3) | st.integers(-2**70, 2**70)
+                 | st.tuples() | st.tuples(st.floats())
+                 | st.tuples(st.floats(), st.floats(), st.floats()))
+
+
 def _any_value(name: str, hint):
     """Any value of a field's type: any float (NaN, infinities, subnormals,
-    extremes), any small integer or a bool, any short string."""
+    extremes), any small integer or a bool, any short string; or any value
+    of the wrong type."""
     if name in _SIZE_LIMITS:
-        return st.integers(-1, _SIZE_LIMITS[name]) | st.booleans()
-    if name == "seed":
-        return st.integers(-1, 2**64) | st.booleans()
-    if hint is float:
-        return st.floats()
-    if hint is str:
-        return st.sampled_from(OBJECTIVE_NAMES) | st.text(max_size=3)
-    return st.tuples(st.floats(), st.floats())
+        typed = st.integers(-1, _SIZE_LIMITS[name]) | st.booleans()
+    elif name == "seed":
+        typed = st.integers(-1, 2**64) | st.booleans()
+    elif hint is float:
+        typed = st.floats()
+    elif hint is str:
+        typed = st.sampled_from(OBJECTIVE_NAMES) | st.text(max_size=3)
+    else:
+        typed = st.tuples(st.floats(), st.floats())
+    return typed | _WRONG_VALUES
 
 
 @st.composite
@@ -175,7 +176,7 @@ def _configs(draw):
     hints = typing.get_type_hints(SystemConfig)
     values = {name: draw(st.integers(1, top)) for name, top in _SIZE_LIMITS.items()}
     names = [f.name for f in fields(SystemConfig)]
-    for name in draw(st.sets(st.sampled_from(names), max_size=3)):
+    for name in sorted(draw(st.sets(st.sampled_from(names), max_size=3))):
         values[name] = draw(_any_value(name, hints[name]))
     return SystemConfig(**values)
 
